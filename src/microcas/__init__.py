@@ -53,6 +53,7 @@ from .rational import (
     singular_points,
 )
 from .differentiation import (
+    compile_real,
     deriv_numeric,
     diff,
     domain_sample,
@@ -84,6 +85,7 @@ __all__ = [
     "SynTerm",
     "Var",
     "check_all",
+    "compile_real",
     "deriv_numeric",
     "diff",
     "domain_sample",

@@ -7,12 +7,18 @@ exponent, exp, ln, sin, cos, tan.  ``diff`` rewrites a term to its
 derivative term and tidies the result with ``simplify``; the rewrite is
 purely syntactic and never sees a number.
 
-``eval_real`` evaluates a term at a point with explicit partiality
-(inverse of zero, ln of a nonpositive value, fractional powers outside
-their domain, tangent too close to a pole, anything non-finite), and
-``deriv_numeric`` estimates a derivative from central differences with
-a convergence check, so the symbolic result can be audited pointwise:
-that is what ``check_spec_diff`` does.
+Terms are lowered once and evaluated many times.  ``compile_real``
+decides membership and lowers a term, in one iterative pass, to a
+straight-line program whose literals are floats read once and whose
+shared subterms are computed once; running the program at a point is
+the only float evaluator of the language.  It is strict and partial:
+inverse of zero, ln of a nonpositive value, fractional powers outside
+their domain, tangent too close to a pole and anything non-finite are
+undefined.  ``eval_real`` runs it at one point, ``domain_sample`` on a
+grid, and ``deriv_numeric`` estimates a derivative from central
+differences with a convergence check, so the symbolic result can be
+audited pointwise: that is what ``check_spec_diff`` does, lowering the
+term and its derivative once for all points.
 """
 
 from __future__ import annotations
@@ -345,6 +351,187 @@ class RealResult:
 
 _TAN_POLE_EPS = 1e-12
 
+# Step opcodes of a lowered term, numbered in the order the evaluator
+# tests them; the binary ones (two register operands) come first.
+# _UNDEF is a literal too large for a float.
+_ADD, _MUL, _SUB, _NEG, _POW, _INV, _SIN, _COS, _EXP, _LN, _TAN, _UNDEF = range(12)
+_BINARY = {ADD_R.symbol: _ADD, MUL_R.symbol: _MUL, SUB_R.symbol: _SUB, POW_R.symbol: _POW}
+_UNARY = {
+    NEG_R.symbol: _NEG,
+    INV_R.symbol: _INV,
+    EXP_R.symbol: _EXP,
+    LN_R.symbol: _LN,
+    SIN_R.symbol: _SIN,
+    COS_R.symbol: _COS,
+    TAN_R.symbol: _TAN,
+}
+_EMIT = object()  # on the work stack, above the op and operand of a step
+
+
+@dataclass(frozen=True)
+class RealProgram:
+    """A term of the real language lowered to straight-line code.
+
+    Register 0 holds x and the next ``len(init) - 1`` registers the
+    term's literals, as floats; step k, an ``(op, i, j)`` triple, writes
+    register ``len(init) + k`` from registers i and j (j is the
+    exponent of a power, unused by unary steps).  The last register is
+    the term's value.  Shared subterms are computed once.
+    """
+
+    init: tuple[float, ...]
+    steps: tuple[tuple, ...]
+    uses_x: bool
+
+    def __call__(self, a: float) -> Optional[float]:
+        """Value at x = a, or None where eval_real calls it undefined:
+        the first step that is undefined or non-finite ends the run."""
+        r = list(self.init)
+        r[0] = float(a)
+        push = r.append
+        isfinite = math.isfinite
+        for op, i, j in self.steps:
+            if op == _ADD:
+                v = r[i] + r[j]
+                if not isfinite(v):
+                    return None
+            elif op == _MUL:
+                v = r[i] * r[j]
+                if not isfinite(v):
+                    return None
+            elif op == _SUB:
+                v = r[i] - r[j]
+                if not isfinite(v):
+                    return None
+            elif op == _NEG:
+                v = -r[i]
+            elif op == _POW:
+                v = _pow_real(r[i], j)
+                if v is None:
+                    return None
+            elif op == _INV:
+                u = r[i]
+                if u == 0.0:
+                    return None
+                v = 1.0 / u
+                if not isfinite(v):
+                    return None
+            elif op == _SIN:
+                v = math.sin(r[i])
+            elif op == _COS:
+                v = math.cos(r[i])
+            elif op == _EXP:
+                try:
+                    v = math.exp(r[i])
+                except OverflowError:
+                    return None
+                if not isfinite(v):
+                    return None
+            elif op == _LN:
+                u = r[i]
+                if u <= 0.0:
+                    return None
+                v = math.log(u)
+                if not isfinite(v):
+                    return None
+            elif op == _TAN:
+                u = r[i]
+                c = math.cos(u)
+                if abs(c) <= _TAN_POLE_EPS:
+                    return None
+                v = math.sin(u) / c
+                if not isfinite(v):
+                    return None
+            else:  # _UNDEF
+                return None
+            push(v)
+        return r[-1]
+
+
+def compile_real(t: SynTerm) -> Optional[RealProgram]:
+    """Lower t to a RealProgram in one pass, or None when t is not in
+    the differentiable language (exactly when is_diff_expr(t) is
+    false).
+
+    The pass is iterative, so term depth is bounded by memory only.
+    Each literal is read once; one too large for a float becomes a step
+    that is undefined everywhere.  Steps are numbered by value: a step
+    whose (op, i, j) triple already exists reuses its register.
+    """
+    init: list[float] = [0.0]
+    literals: dict[str, int] = {}
+    steps: list[tuple] = []
+    numbering: dict[tuple, int] = {}
+    uses_x = False
+    # Operands are ids: -1 is x, -1 - k is init[k], k >= 0 is steps[k].
+    ids: list[int] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node is _EMIT:
+            op, c = todo.pop(), todo.pop()
+            i = ids.pop()
+            key = (op, ids.pop(), i) if op <= _SUB else (op, i, c)
+            k = numbering.get(key)
+            if k is None:
+                k = numbering[key] = len(steps)
+                steps.append(key)
+            ids.append(k)
+        elif isinstance(node, App):
+            f = node.fun
+            if isinstance(f, Const):
+                op = _UNARY.get(f.symbol) if f.ty == _R1 else None
+                if op is None:
+                    return None
+                todo += (None, op, _EMIT, node.arg)
+            elif isinstance(f, App) and isinstance(f.fun, Const):
+                g = f.fun
+                op = _BINARY.get(g.symbol) if g.ty == _R3 else None
+                if op is None:
+                    return None
+                if op == _POW:
+                    c = lit_value(node.arg)
+                    if c is None:
+                        return None
+                    todo += (c, op, _EMIT, f.arg)
+                else:
+                    todo += (None, op, _EMIT, node.arg, f.arg)
+            else:
+                return None
+        elif isinstance(node, Const) and node.ty == REAL:
+            k = literals.get(node.symbol)
+            if k is None:
+                c = lit_value(node)
+                if c is None:
+                    return None
+                try:
+                    init.append(float(c))
+                    k = -len(init)
+                except OverflowError:
+                    k = len(steps)
+                    steps.append((_UNDEF, -1, None))
+                literals[node.symbol] = k
+            ids.append(k)
+        elif node == X_R:
+            uses_x = True
+            ids.append(-1)
+        else:
+            return None
+    base = len(init)
+
+    def reg(k: int) -> int:
+        return -1 - k if k < 0 else base + k
+
+    lowered = tuple((op, reg(i), reg(j) if op <= _SUB else j) for op, i, j in steps)
+    return RealProgram(tuple(init), lowered, uses_x)
+
+
+def _lowered(t: SynTerm) -> RealProgram:
+    prog = compile_real(t)
+    if prog is None:
+        raise ValueError("not in the differentiable language")
+    return prog
+
 
 def eval_real(t: SynTerm, a: float) -> RealResult:
     """Strict partial evaluation at x = a.
@@ -352,85 +539,13 @@ def eval_real(t: SynTerm, a: float) -> RealResult:
     Undefined exactly when some subterm forces it: inverse of zero, ln
     of a nonpositive number, u^(p/q) with u < 0 and q even (or u = 0
     and the exponent not positive), tan within 1e-12 of a pole, or any
-    intermediate overflowing to non-finite.
+    literal or intermediate value that is non-finite as a float.
     """
-    if not is_diff_expr(t):
-        raise ValueError("not in the differentiable language")
-    return RealResult(_ev(t, float(a)))
+    return RealResult(_lowered(t)(a))
 
 
 def _finite(v: float) -> Optional[float]:
     return v if math.isfinite(v) else None
-
-
-def _ev(t: SynTerm, a: float) -> Optional[float]:
-    if t == X_R:
-        return a
-    lit = lit_value(t)
-    if lit is not None:
-        return _finite(float(lit))
-    parts = match_binary(t, ADD_R)
-    if parts is not None:
-        u, v = _ev(parts[0], a), _ev(parts[1], a)
-        return _finite(u + v) if u is not None and v is not None else None
-    parts = match_binary(t, SUB_R)
-    if parts is not None:
-        u, v = _ev(parts[0], a), _ev(parts[1], a)
-        return _finite(u - v) if u is not None and v is not None else None
-    parts = match_binary(t, MUL_R)
-    if parts is not None:
-        u, v = _ev(parts[0], a), _ev(parts[1], a)
-        return _finite(u * v) if u is not None and v is not None else None
-    parts = match_binary(t, POW_R)
-    if parts is not None:
-        u = _ev(parts[0], a)
-        c = lit_value(parts[1])
-        if u is None or c is None:
-            return None
-        return _pow_real(u, c)
-    arg = match_unary(t, NEG_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        return -u if u is not None else None
-    arg = match_unary(t, INV_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        if u is None or u == 0.0:
-            return None
-        return _finite(1.0 / u)
-    arg = match_unary(t, EXP_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        if u is None:
-            return None
-        try:
-            return _finite(math.exp(u))
-        except OverflowError:
-            return None
-    arg = match_unary(t, LN_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        if u is None or u <= 0.0:
-            return None
-        return _finite(math.log(u))
-    arg = match_unary(t, SIN_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        return math.sin(u) if u is not None else None
-    arg = match_unary(t, COS_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        return math.cos(u) if u is not None else None
-    arg = match_unary(t, TAN_R)
-    if arg is not None:
-        u = _ev(arg, a)
-        if u is None:
-            return None
-        c = math.cos(u)
-        if abs(c) <= _TAN_POLE_EPS:
-            return None
-        return _finite(math.sin(u) / c)
-    raise ValueError("not in the differentiable language")
 
 
 def _pow_real(u: float, c: Fraction) -> Optional[float]:
@@ -456,14 +571,6 @@ _H_STEPS = (1e-3, 1e-4, 1e-5)
 _CONVERGENCE_REL = 1e-3
 
 
-def _mentions_x(t: SynTerm) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, App):
-        return _mentions_x(t.fun) or _mentions_x(t.arg)
-    return False
-
-
 def deriv_numeric(t: SynTerm, a: float) -> RealResult:
     """Central-difference derivative with a convergence check.
 
@@ -482,21 +589,25 @@ def deriv_numeric(t: SynTerm, a: float) -> RealResult:
     contribution of x (as in x - exp(576)); the flat window says
     nothing about the real-valued derivative, so none is reported.
     """
-    mid = eval_real(t, a)
-    if not mid.is_defined:
+    return _deriv_numeric(_lowered(t), float(a))
+
+
+def _deriv_numeric(f: RealProgram, a: float) -> RealResult:
+    mid = f(a)
+    if mid is None:
         return RealResult.undefined()
     qs = []
     peak = 0.0
     flat = True
     for h in _H_STEPS:
-        fp = eval_real(t, a + h)
-        fm = eval_real(t, a - h)
-        if not (fp.is_defined and fm.is_defined):
+        fp = f(a + h)
+        fm = f(a - h)
+        if fp is None or fm is None:
             return RealResult.undefined()
-        peak = max(peak, abs(fp.value), abs(fm.value))
-        flat = flat and fp.value == mid.value and fm.value == mid.value
-        qs.append((fp.value - fm.value) / (2.0 * h))
-    if flat and _mentions_x(t):
+        peak = max(peak, abs(fp), abs(fm))
+        flat = flat and fp == mid and fm == mid
+        qs.append((fp - fm) / (2.0 * h))
+    if flat and f.uses_x:
         return RealResult.undefined()
 
     def agree(q1: float, q2: float) -> bool:
@@ -525,6 +636,7 @@ class DiffViolation:
 @dataclass
 class DiffCheckReport:
     term: SynTerm
+    derivative: SynTerm
     checked: int = 0
     skipped: int = 0
     violations: list[DiffViolation] = field(default_factory=list)
@@ -539,22 +651,24 @@ def check_spec_diff(t: SynTerm, points: list[float]) -> DiffCheckReport:
 
     Points where the numeric derivative does not exist are skipped (no
     claim is made there); where it does, the symbolic derivative must
-    be defined and agree within max(1e-4, 1e-4 * |numeric|).
+    be defined and agree within max(1e-4, 1e-4 * |numeric|).  The
+    report carries the derivative it audited.
     """
     dt = diff(t)
     if dt is None:
         raise ValueError("not in the differentiable language")
-    report = DiffCheckReport(term=t)
+    f, df = _lowered(t), _lowered(dt)
+    report = DiffCheckReport(term=t, derivative=dt)
     for a in points:
-        want = deriv_numeric(t, a)
+        want = _deriv_numeric(f, float(a))
         if not want.is_defined:
             report.skipped += 1
             continue
         report.checked += 1
-        got = eval_real(dt, a)
+        got = df(a)
         tol = max(_ABS_TOL, _REL_TOL * abs(want.value))
-        if not got.is_defined or abs(got.value - want.value) > tol:
-            report.violations.append(DiffViolation(a, want.value, got.value))
+        if got is None or abs(got - want.value) > tol:
+            report.violations.append(DiffViolation(a, want.value, got))
     return report
 
 
@@ -589,8 +703,9 @@ def domain_sample(t: SynTerm, lo: float, hi: float, n: int) -> DomainReport:
         raise ValueError("need at least two sample points")
     if not lo < hi:
         raise ValueError("need lo < hi")
+    f = _lowered(t)
     entries = []
     for i in range(n):
         a = lo + (hi - lo) * i / (n - 1)
-        entries.append(DomainPoint(a, eval_real(t, a).is_defined))
+        entries.append(DomainPoint(a, f(a) is not None))
     return DomainReport(tuple(entries))

@@ -461,11 +461,8 @@ def check_spec_diff(cfg: GenConfig) -> Report:
     undef = BranchTally("undefined-off-language")
     for _ in range(cfg.cases):
         t = draw_diff_expr(rng, cfg)
-        dt = dr.diff(t)
-        closure.record(
-            dt is not None and dr.is_diff_expr(dt), lambda: to_sexpr(t)
-        )
         rep = dr.check_spec_diff(t, _DIFF_GRID)
+        closure.record(dr.is_diff_expr(rep.derivative), lambda: to_sexpr(t))
         pointwise.record(
             rep.ok,
             lambda: (

@@ -125,6 +125,14 @@ def test_domain_text_and_json(capsys):
     assert run(capsys, "domain", "x", "--lo", "2", "--hi", "1")[0] == 2
 
 
+def test_domain_literal_too_large_for_a_float(capsys):
+    code, out, _ = run(capsys, "domain", "x + 1" + "0" * 400, "--n", "5")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 5
+    assert all(line.endswith(": undefined") for line in lines)
+
+
 def test_output_formats(capsys):
     code, out, _ = run(capsys, "norm-expr", "x / x", "--format", "sexpr")
     assert code == 0

@@ -17,8 +17,13 @@ from typing import Optional
 import pytest
 
 from microcas.differentiation import (
+    COS_R,
+    INV_R,
+    NEG_R,
+    SUB_R,
     X_R,
     check_spec_diff,
+    compile_real,
     deriv_numeric,
     diff,
     domain_sample,
@@ -40,11 +45,11 @@ from microcas.differentiation import (
     r_tan,
     simplify,
 )
-from microcas.harness import GenConfig, draw_diff_expr
+from microcas.harness import GenConfig, draw_diff_expr, draw_non_member
 from microcas.parser import parse
 from microcas.polynomials import Poly
 from microcas.printing import to_infix
-from microcas.terms import Const, IntLit, REAL, Var
+from microcas.terms import RAT, App, Const, IntLit, REAL, Var
 
 
 def dx(src: str):
@@ -319,6 +324,57 @@ def test_eval_real_rejects_off_language_terms():
         eval_real(IntLit(1), 0.0)
 
 
+def test_literal_too_large_for_a_float_is_undefined():
+    huge = r_lit(10**400)
+    assert not eval_real(huge, 1.0).is_defined
+    assert not eval_real(r_add(X_R, huge), 1.0).is_defined
+    assert domain_sample(r_sin(huge), -1.0, 1.0, 3).defined_points() == []
+    # As an exponent the literal is read exactly, not as a float.
+    assert eval_real(r_pow(X_R, huge), 0.0).value == 0.0
+
+
+def test_deep_terms_evaluate_without_recursion():
+    t, want = X_R, 0.5
+    for _ in range(3000):
+        t, want = r_sin(t), math.sin(want)
+    assert eval_real(t, 0.5).value == want
+    assert domain_sample(t, -1.0, 1.0, 3).undefined_points() == []
+
+
+def test_lowering_shares_repeated_subterms():
+    u = r_sin(r_add(X_R, r_lit(1)))
+    prog = compile_real(r_mul(u, r_add(u, r_lit(1))))
+    # x and the literal 1 are registers; sin(x + 1) is computed once.
+    assert len(prog.init) == 2
+    assert len(prog.steps) == 4
+    assert prog.uses_x and not compile_real(r_lit(3)).uses_x
+
+
+def test_lowering_and_is_diff_expr_agree_on_membership():
+    terms = [
+        r_pow(X_R, X_R),
+        App(App(INV_R, X_R), X_R),
+        App(App(NEG_R, X_R), X_R),
+        App(SUB_R, X_R),
+        App(COS_R, App(SUB_R, X_R)),
+        r_add(X_R, Const("pi", REAL)),
+        Const("+", REAL),
+        Var("x", RAT),
+        r_mul(X_R, Var("x", RAT)),
+        r_pow(X_R, r_lit(Fraction(-7, 2))),
+        r_lit(10**400),
+    ]
+    rng = random.Random(0)
+    terms += [draw_non_member(rng, "diffexpr") for _ in range(60)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(100):
+            t = draw_diff_expr(rng, GenConfig(seed=seed))
+            terms += [t, diff(t)]
+    for t in terms:
+        assert (compile_real(t) is not None) == is_diff_expr(t), to_infix(t)
+
+
 # -- the numeric oracle ----------------------------------------------------
 
 
@@ -366,6 +422,7 @@ def test_check_spec_diff_reports():
     assert rep2.ok
     assert rep2.checked == 2
     assert rep2.skipped == 1
+    assert rep2.derivative == dx("inv(x)")
     with pytest.raises(ValueError):
         check_spec_diff(IntLit(1), [0.0])
 

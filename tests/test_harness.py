@@ -143,6 +143,22 @@ def test_all_checks_pass_at_small_size():
             assert b.cases > 0
 
 
+def test_diff_suite_differentiates_each_term_once(monkeypatch):
+    from microcas import differentiation
+
+    calls = []
+    real_diff = differentiation.diff
+
+    def counting(t):
+        calls.append(t)
+        return real_diff(t)
+
+    monkeypatch.setattr(differentiation, "diff", counting)
+    assert CHECKS["diff"](GenConfig(seed=3, cases=50)).ok
+    # 50 drawn terms plus 20 off-language draws.
+    assert len(calls) == 70
+
+
 def test_checks_are_reproducible():
     cfg = GenConfig(seed=2024, cases=30)
     first = [r.to_dict() for r in check_all(cfg)]
