@@ -13,7 +13,6 @@ typed-constant registry as a side effect; evaluate or parse nothing
 before this module finishes importing.
 """
 
-from . import arith  # noqa: F401
 from . import terms  # noqa: F401
 from . import factoring  # noqa: F401
 from . import polynomials  # noqa: F401

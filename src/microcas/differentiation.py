@@ -33,10 +33,13 @@ from .terms import (
     App,
     Arrow,
     Const,
+    NotInLanguage,
     SynTerm,
     Var,
+    fold,
     match_binary,
     match_unary,
+    op_table,
     register_constant,
 )
 
@@ -56,8 +59,6 @@ COS_R: Const = register_constant("cos", _R1)
 TAN_R: Const = register_constant("tan", _R1)
 
 X_R = Var("x", REAL)
-
-_FUNCTIONS = {EXP_R, LN_R, SIN_R, COS_R, TAN_R}
 
 
 def r_lit(c: Fraction | int) -> SynTerm:
@@ -149,23 +150,38 @@ def r_tan(a: SynTerm) -> SynTerm:
 # membership
 
 
+def _member_leaf(t: SynTerm) -> bool:
+    """A member's value in the membership fold: whether it is a bare
+    literal, which is what the exponent of a power must be."""
+    if t == X_R:
+        return False
+    if lit_value(t) is not None:
+        return True
+    raise NotInLanguage("not in the differentiable language")
+
+
+def _member_pow(base: bool, exponent: bool) -> bool:
+    if not exponent:
+        raise NotInLanguage("a power needs a rational-literal exponent")
+    return False
+
+
+def _compound(*operands: bool) -> bool:
+    return False
+
+
+_MEMBER_UNARY = op_table(dict.fromkeys((NEG_R, INV_R, EXP_R, LN_R, SIN_R, COS_R, TAN_R), _compound))
+_MEMBER_BINARY = op_table(dict.fromkeys((ADD_R, MUL_R, SUB_R), _compound) | {POW_R: _member_pow})
+
+
 def is_diff_expr(t: SynTerm) -> bool:
     """The differentiable language; power exponents must be rational
     literals, not arbitrary subterms."""
-    if t == X_R or lit_value(t) is not None:
-        return True
-    for op in (ADD_R, MUL_R, SUB_R):
-        parts = match_binary(t, op)
-        if parts is not None:
-            return is_diff_expr(parts[0]) and is_diff_expr(parts[1])
-    parts = match_binary(t, POW_R)
-    if parts is not None:
-        return is_diff_expr(parts[0]) and lit_value(parts[1]) is not None
-    for op in (NEG_R, INV_R, EXP_R, LN_R, SIN_R, COS_R, TAN_R):
-        arg = match_unary(t, op)
-        if arg is not None:
-            return is_diff_expr(arg)
-    return False
+    try:
+        fold(t, _member_leaf, _MEMBER_UNARY, _MEMBER_BINARY)
+    except NotInLanguage:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +263,23 @@ def simplify(t: SynTerm) -> SynTerm:
 
 
 def _simp(t: SynTerm) -> SynTerm:
-    for op, func in ((ADD_R, _simp_add), (SUB_R, _simp_sub), (MUL_R, _simp_mul)):
-        parts = match_binary(t, op)
-        if parts is not None:
-            return func(_simp(parts[0]), _simp(parts[1]))
-    parts = match_binary(t, POW_R)
-    if parts is not None:
-        return _simp_pow(_simp(parts[0]), parts[1])
-    arg = match_unary(t, NEG_R)
-    if arg is not None:
-        a = _simp(arg)
-        inner = match_unary(a, NEG_R)
-        if inner is not None:
-            return inner
-        v = _signed_lit(a)
-        return _emit_lit(-v) if v is not None else r_neg(a)
-    arg = match_unary(t, INV_R)
-    if arg is not None:
-        a = _simp(arg)
-        v = _signed_lit(a)
-        if v is not None and v != 0:
-            return _emit_lit(Fraction(1) / v)
-        return r_inv(a)
-    for op in _FUNCTIONS:
-        arg = match_unary(t, op)
-        if arg is not None:
-            return App(op, _simp(arg))
-    return t
+    """One bottom-up pass of the local rules."""
+    return fold(t, lambda u: u, _SIMP_UNARY, _SIMP_BINARY)
+
+
+def _simp_neg(a: SynTerm) -> SynTerm:
+    inner = match_unary(a, NEG_R)
+    if inner is not None:
+        return inner
+    v = _signed_lit(a)
+    return _emit_lit(-v) if v is not None else r_neg(a)
+
+
+def _simp_inv(a: SynTerm) -> SynTerm:
+    v = _signed_lit(a)
+    if v is not None and v != 0:
+        return _emit_lit(Fraction(1) / v)
+    return r_inv(a)
 
 
 def _simp_add(a: SynTerm, b: SynTerm) -> SynTerm:
@@ -324,6 +330,11 @@ def _simp_pow(base: SynTerm, exp_term: SynTerm) -> SynTerm:
     if v is not None and c.denominator == 1 and (v != 0 or c > 0):
         return _emit_lit(v ** int(c))
     return r_pow(base, exp_term)
+
+
+_SIMP_UNARY = op_table({NEG_R: _simp_neg, INV_R: _simp_inv, EXP_R: r_exp, LN_R: r_ln,
+                        SIN_R: r_sin, COS_R: r_cos, TAN_R: r_tan})
+_SIMP_BINARY = op_table({ADD_R: _simp_add, SUB_R: _simp_sub, MUL_R: _simp_mul, POW_R: _simp_pow})
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +396,14 @@ class RealProgram:
 
     def __call__(self, a: float) -> Optional[float]:
         """Value at x = a, or None where eval_real calls it undefined:
-        the first step that is undefined or non-finite ends the run."""
+        a non-finite point, or the first step that is undefined or
+        non-finite, ends the run."""
+        isfinite = math.isfinite
         r = list(self.init)
         r[0] = float(a)
+        if not isfinite(r[0]):
+            return None
         push = r.append
-        isfinite = math.isfinite
         for op, i, j in self.steps:
             if op == _ADD:
                 v = r[i] + r[j]
@@ -538,8 +552,9 @@ def eval_real(t: SynTerm, a: float) -> RealResult:
 
     Undefined exactly when some subterm forces it: inverse of zero, ln
     of a nonpositive number, u^(p/q) with u < 0 and q even (or u = 0
-    and the exponent not positive), tan within 1e-12 of a pole, or any
-    literal or intermediate value that is non-finite as a float.
+    and the exponent not positive), tan within 1e-12 of a pole, a
+    non-finite point, or any literal or intermediate value that is
+    non-finite as a float.
     """
     return RealResult(_lowered(t)(a))
 
@@ -701,6 +716,8 @@ def domain_sample(t: SynTerm, lo: float, hi: float, n: int) -> DomainReport:
     """
     if n < 2:
         raise ValueError("need at least two sample points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("need finite lo and hi")
     if not lo < hi:
         raise ValueError("need lo < hi")
     f = _lowered(t)

@@ -14,6 +14,8 @@ inputs below 3.3e24 (in particular for anything 64-bit).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .terms import (
@@ -22,9 +24,14 @@ from .terms import (
     Arrow,
     Const,
     IntLit,
+    IntV,
     SynTerm,
+    Value,
+    fold,
     match_binary,
+    op_table,
     register_constant,
+    register_evaluator,
 )
 
 _TRIAL_LIMIT = 1 << 16
@@ -50,6 +57,24 @@ def i_pow(a: SynTerm, b: SynTerm) -> SynTerm:
 
 def i_neg(a: SynTerm) -> SynTerm:
     return App(NEG_I, a)
+
+
+_INT_UNARY = op_table({NEG_I: operator.neg})
+_INT_BINARY = op_table(
+    {ADD_I: operator.add, MUL_I: operator.mul, POW_I: lambda a, b: a**b if b >= 0 else None}
+)
+
+
+def _eval_int(b: SynTerm) -> Value | None:
+    """Value of a closed integer term; None where no value exists (a free
+    variable, a negative exponent) and on terms of other types: the fold
+    is defined only where every leaf is an integer literal and every
+    operator an integer one."""
+    v = fold(b, lambda t: t.value if type(t) is IntLit else None, _INT_UNARY, _INT_BINARY)
+    return IntV(v) if v is not None else None
+
+
+register_evaluator(INT, _eval_int)
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +128,17 @@ def _brent_rho(n: int) -> int:
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                g = _gcd(q, n)
+                g = math.gcd(q, n)
                 k += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = _gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _split(n: int, out: list[int]) -> None:

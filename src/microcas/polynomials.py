@@ -10,7 +10,7 @@ code needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 NEG_INFINITY = float("-inf")
@@ -212,7 +212,7 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         ints = _int_clear(work)
         content = 0
         for c in ints:
-            content = _gcd_int(content, c)
+            content = gcd(content, c)
         ints = [c // content for c in ints]
         bound = 1 + max(abs(Fraction(c, ints[-1])) for c in ints)
         nums = divisors(ints[0])
@@ -232,13 +232,6 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
                     if mult:
                         roots[r] = mult
     return sorted(roots.items())
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _deflate(p: Poly, r: Fraction) -> Poly:

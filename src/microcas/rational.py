@@ -30,9 +30,10 @@ result by multiplying numerator and denominator by (x - a).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .polynomials import ONE, Poly, X, ZERO, linear_part, poly_gcd, rational_roots
 from .terms import (
@@ -44,12 +45,16 @@ from .terms import (
     FnQQ,
     FracV,
     Lambda,
+    NotInLanguage,
     RatLit,
+    RatV,
     SynTerm,
     Value,
     Var,
+    fold,
     match_binary,
     match_unary,
+    op_table,
     register_constant,
     register_evaluator,
 )
@@ -119,22 +124,39 @@ UNDEFINED_NORMAL_FORM: SynTerm = q_mul(q_lit(1), q_inv(q_lit(0)))
 
 
 # ---------------------------------------------------------------------------
-# membership
+# folds over the language: each membership test and value below is one
+# terms.fold with a leaf from _leaf and a pair of operator tables
+
+
+def _leaf(lit: Callable[[Fraction], object], x: object) -> Callable[[SynTerm], object]:
+    """A fold leaf: a literal's value through ``lit``, the variable as
+    ``x``; any other node is not a rational expression."""
+
+    def leaf(t: SynTerm) -> object:
+        if type(t) is RatLit:
+            return lit(t.value)
+        if t == X_Q:
+            return x
+        raise NotInLanguage("not a rational expression")
+
+    return leaf
+
+
+# Values in the rationals: the pointwise and the closed evaluators.
+_Q_UNARY = op_table({NEG_Q: operator.neg, INV_Q: lambda u: 1 / u if u != 0 else None})
+_Q_BINARY = op_table({ADD_Q: operator.add, MUL_Q: operator.mul})
+_UNDEFINED_LEAF = _leaf(lambda c: None, None)
 
 
 def is_rat_expr(t: SynTerm) -> bool:
     """Terms over x, rational literals, +, *, -, inv. Nothing else."""
-    if isinstance(t, RatLit) or t == X_Q:
-        return True
-    parts = match_binary(t, ADD_Q) or match_binary(t, MUL_Q)
-    if parts is not None:
-        return is_rat_expr(parts[0]) and is_rat_expr(parts[1])
-    arg = match_unary(t, NEG_Q)
-    if arg is None:
-        arg = match_unary(t, INV_Q)
-    if arg is not None:
-        return is_rat_expr(arg)
-    return False
+    # Every leaf is undefined, so the fold applies no operator: it only
+    # visits each node and raises off the language.
+    try:
+        fold(t, _UNDEFINED_LEAF, _Q_UNARY, _Q_BINARY)
+    except NotInLanguage:
+        return False
+    return True
 
 
 def is_rat_fun(t: SynTerm) -> bool:
@@ -210,68 +232,26 @@ class CanonicalFraction:
 
 FRAC_X = CanonicalFraction(X, ONE)
 
+_FRAC_LEAF = _leaf(lambda c: CanonicalFraction(Poly([c]), ONE), FRAC_X)
+_FRAC_UNARY = op_table({NEG_Q: operator.neg, INV_Q: CanonicalFraction.inv})
+
 
 def frac_value(t: SynTerm) -> Optional[CanonicalFraction]:
     """Value of a rational expression in the field of fractions, with x
     read as the indeterminate; None where the value does not exist
     (strict: an inverse of the zero fraction poisons everything above).
+    Raises NotInLanguage, a ValueError, off the language.
     """
-    if isinstance(t, RatLit):
-        return CanonicalFraction(Poly([t.value]), ONE)
-    if t == X_Q:
-        return FRAC_X
-    parts = match_binary(t, ADD_Q)
-    if parts is not None:
-        a, b = frac_value(parts[0]), frac_value(parts[1])
-        return a + b if a is not None and b is not None else None
-    parts = match_binary(t, MUL_Q)
-    if parts is not None:
-        a, b = frac_value(parts[0]), frac_value(parts[1])
-        return a * b if a is not None and b is not None else None
-    arg = match_unary(t, NEG_Q)
-    if arg is not None:
-        a = frac_value(arg)
-        return -a if a is not None else None
-    arg = match_unary(t, INV_Q)
-    if arg is not None:
-        a = frac_value(arg)
-        return a.inv() if a is not None else None
-    raise ValueError("not a rational expression")
+    return fold(t, _FRAC_LEAF, _FRAC_UNARY, _Q_BINARY)
 
 
 def eval_pointwise(t: SynTerm, a: Fraction | int) -> Optional[Fraction]:
     """Value of a rational expression at x = a, on the original term
     tree: every inverse of a zero value is undefined and undefinedness
     is strict.  This is the map a rational function really computes.
+    Raises NotInLanguage, a ValueError, off the language.
     """
-    a = Fraction(a)
-
-    def go(t: SynTerm) -> Optional[Fraction]:
-        if isinstance(t, RatLit):
-            return t.value
-        if t == X_Q:
-            return a
-        parts = match_binary(t, ADD_Q)
-        if parts is not None:
-            u, v = go(parts[0]), go(parts[1])
-            return u + v if u is not None and v is not None else None
-        parts = match_binary(t, MUL_Q)
-        if parts is not None:
-            u, v = go(parts[0]), go(parts[1])
-            return u * v if u is not None and v is not None else None
-        arg = match_unary(t, NEG_Q)
-        if arg is not None:
-            u = go(arg)
-            return -u if u is not None else None
-        arg = match_unary(t, INV_Q)
-        if arg is not None:
-            u = go(arg)
-            if u is None or u == 0:
-                return None
-            return 1 / u
-        raise ValueError("not a rational expression")
-
-    return go(t)
+    return fold(t, _leaf(lambda c: c, Fraction(a)), _Q_UNARY, _Q_BINARY)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +315,13 @@ def is_norm(t: SynTerm) -> bool:
     """Normal forms: canonical renderings of values, plus the one
     distinguished undefined form 1/0.  A term is its own value's
     rendering exactly when rendering its value reproduces it."""
-    if not is_rat_expr(t):
+    try:
+        v = frac_value(t)
+    except NotInLanguage:
         return False
-    if t == UNDEFINED_NORMAL_FORM:
-        return True
-    v = frac_value(t)
-    return v is not None and frac_to_term(v) == t
+    if v is None:
+        return t == UNDEFINED_NORMAL_FORM
+    return frac_to_term(v) == t
 
 
 def _read_fraction_shape(t: SynTerm) -> Optional[tuple[Poly, Poly]]:
@@ -364,32 +345,21 @@ def _read_fraction_shape(t: SynTerm) -> Optional[tuple[Poly, Poly]]:
 
 
 def _read_poly(t: SynTerm) -> Optional[Poly]:
-    """Polynomial value of an inverse-free rational expression."""
-    if not is_rat_expr(t):
+    """Polynomial value of an inverse-free rational expression: one that
+    flattens with no inverted numerator, and so over the denominator 1."""
+    try:
+        fl = flatten_raw(t)
+    except NotInLanguage:
         return None
-
-    def has_inv(u: SynTerm) -> bool:
-        if match_unary(u, INV_Q) is not None:
-            return True
-        parts = match_binary(u, ADD_Q) or match_binary(u, MUL_Q)
-        if parts is not None:
-            return has_inv(parts[0]) or has_inv(parts[1])
-        arg = match_unary(u, NEG_Q)
-        return has_inv(arg) if arg is not None else False
-
-    if has_inv(t):
+    if fl is None or fl[2]:
         return None
-    v = frac_value(t)
-    assert v is not None and v.den == ONE
-    return v.num
+    return fl[0]
 
 
 def is_quasinorm(t: SynTerm) -> bool:
     """Quasinormal forms: rendered p/q (bare p when q = 1) whose common
     factors are all linear -- gcd(p, q) equals its own linear part -- so
     only rational singularities remain; plus the distinguished 1/0."""
-    if not is_rat_expr(t):
-        return False
     if t == UNDEFINED_NORMAL_FORM:
         return True
     shape = _read_fraction_shape(t)
@@ -411,53 +381,39 @@ def is_quasinorm(t: SynTerm) -> bool:
 def norm_rat_expr(t: SynTerm) -> Optional[SynTerm]:
     """Canonical rendering of the value; 1/0 when the value does not
     exist; None on terms that are not rational expressions."""
-    if not is_rat_expr(t):
+    try:
+        v = frac_value(t)
+    except NotInLanguage:
         return None
-    v = frac_value(t)
-    if v is None:
-        return UNDEFINED_NORMAL_FORM
-    return frac_to_term(v)
+    return UNDEFINED_NORMAL_FORM if v is None else frac_to_term(v)
+
+
+def _flat_add(a: tuple, b: tuple) -> tuple:
+    (n1, d1, s1), (n2, d2, s2) = a, b
+    return n1 * d2 + n2 * d1, d1 * d2, s1 + s2
+
+
+def _flat_mul(a: tuple, b: tuple) -> tuple:
+    (n1, d1, s1), (n2, d2, s2) = a, b
+    return n1 * n2, d1 * d2, s1 + s2
+
+
+def _flat_inv(a: tuple) -> Optional[tuple]:
+    n, d, s = a
+    return None if n.is_zero() else (d, n, s + [n])
+
+
+_FLAT_UNARY = op_table({NEG_Q: lambda a: (-a[0], a[1], a[2]), INV_Q: _flat_inv})
+_FLAT_BINARY = op_table({ADD_Q: _flat_add, MUL_Q: _flat_mul})
 
 
 def flatten_raw(t: SynTerm) -> Optional[tuple[Poly, Poly, list[Poly]]]:
     """Unreduced fraction of a rational expression plus the flattened
-    numerators of every inverted subterm; None when the value does not
-    exist in the field of fractions."""
-    if isinstance(t, RatLit):
-        return Poly([t.value]), ONE, []
-    if t == X_Q:
-        return X, ONE, []
-    parts = match_binary(t, ADD_Q)
-    if parts is not None:
-        fa, fb = flatten_raw(parts[0]), flatten_raw(parts[1])
-        if fa is None or fb is None:
-            return None
-        (n1, d1, s1), (n2, d2, s2) = fa, fb
-        return n1 * d2 + n2 * d1, d1 * d2, s1 + s2
-    parts = match_binary(t, MUL_Q)
-    if parts is not None:
-        fa, fb = flatten_raw(parts[0]), flatten_raw(parts[1])
-        if fa is None or fb is None:
-            return None
-        (n1, d1, s1), (n2, d2, s2) = fa, fb
-        return n1 * n2, d1 * d2, s1 + s2
-    arg = match_unary(t, NEG_Q)
-    if arg is not None:
-        fa = flatten_raw(arg)
-        if fa is None:
-            return None
-        n, d, s = fa
-        return -n, d, s
-    arg = match_unary(t, INV_Q)
-    if arg is not None:
-        fa = flatten_raw(arg)
-        if fa is None:
-            return None
-        n, d, s = fa
-        if n.is_zero():
-            return None
-        return d, n, s + [n]
-    raise ValueError("not a rational expression")
+    numerators of every inverted subterm, left to right; None when the
+    value does not exist in the field of fractions.  Raises
+    NotInLanguage, a ValueError, off the language."""
+    leaf = _leaf(lambda c: (Poly([c]), ONE, []), (X, ONE, []))
+    return fold(t, leaf, _FLAT_UNARY, _FLAT_BINARY)
 
 
 def singular_points(t: SynTerm) -> list[Fraction]:
@@ -478,9 +434,8 @@ def quasinorm_rat_expr(t: SynTerm) -> SynTerm:
     """Quasinormalize: reduce to p/q cancelling only irreducible common
     factors of degree >= 2, then restore any rational singularity of
     the original that the flattening lost (nested inverses).  The
-    result denotes the same partial function on the rationals."""
-    if not is_rat_expr(t):
-        raise ValueError("not a rational expression")
+    result denotes the same partial function on the rationals.  Raises
+    NotInLanguage, a ValueError, off the language."""
     fl = flatten_raw(t)
     if fl is None:
         return UNDEFINED_NORMAL_FORM
@@ -523,10 +478,22 @@ def quasi_equal_at(f: SynTerm, g: SynTerm, a: Fraction | int) -> bool:
 # typed evaluation hooks
 
 
+def _closed_leaf(t: SynTerm) -> Optional[Fraction]:
+    return t.value if type(t) is RatLit else None
+
+
+def _eval_rat(b: SynTerm) -> Optional[Value]:
+    """Value of a closed rational term; inverse of zero is undefined, and
+    so is any term of another type (see factoring._eval_int)."""
+    v = fold(b, _closed_leaf, _Q_UNARY, _Q_BINARY)
+    return RatV(v) if v is not None else None
+
+
 def _eval_frac(b: SynTerm) -> Optional[Value]:
-    if not is_rat_expr(b):
+    try:
+        v = frac_value(b)
+    except NotInLanguage:
         return None
-    v = frac_value(b)
     return FracV(v) if v is not None else None
 
 
@@ -536,5 +503,6 @@ def _eval_fn_qq(b: SynTerm) -> Optional[Value]:
     return FnQQ(b)
 
 
+register_evaluator(RAT, _eval_rat)
 register_evaluator(FRAC, _eval_frac)
 register_evaluator(Arrow(RAT, RAT), _eval_fn_qq)

@@ -14,10 +14,13 @@ does not have that type or the value does not exist.  Evaluation is a
 host-level operation; there is no evaluation node in the term language,
 so every term is trivially evaluation-free.
 
-Constant signatures and the evaluators for the richer types are
+Constant signatures and the evaluators for each type but SYNTAX are
 registered by the modules that own them (factoring registers the
-integer operators, rational the field of fractions, differentiation the
-real operators); importing the package top-level wires everything up.
+integer operators, rational the rationals and the field of fractions,
+differentiation the real operators); importing the package top-level
+wires everything up.  Membership tests and exact values are computed
+bottom-up with ``fold``, the one walk with the one strictness rule: an
+undefined operand makes its whole term undefined.
 """
 
 from __future__ import annotations
@@ -161,14 +164,15 @@ Value = Union[IntV, RatV, FracV, FnQQ, TermV]
 # ---------------------------------------------------------------------------
 # constant signature and evaluator registry
 
-_CONSTANTS: set[tuple[str, SemType]] = set()
+_CONSTANTS: dict[tuple[str, SemType], Const] = {}
 _EVALUATORS: dict[SemType, Callable[[SynTerm], Optional[Value]]] = {}
 
 
 def register_constant(symbol: str, ty: SemType) -> Const:
-    """Register a constant and return its node. Idempotent."""
-    _CONSTANTS.add((symbol, ty))
-    return Const(symbol, ty)
+    """Register a constant and return its node: the same node for every
+    call with the same symbol and type, so folds can match it by
+    identity."""
+    return _CONSTANTS.setdefault((symbol, ty), Const(symbol, ty))
 
 
 def constant_registered(symbol: str, ty: SemType) -> bool:
@@ -230,7 +234,8 @@ def is_expr_of(t: SynTerm, ty: SemType) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# structural helpers shared by every module that walks terms
+# structural helpers shared by every module that walks terms: matching
+# one operator at the root, and folding a whole term bottom-up
 
 
 def match_unary(t: SynTerm, op: Const) -> Optional[SynTerm]:
@@ -247,64 +252,71 @@ def match_binary(t: SynTerm, op: Const) -> Optional[tuple[SynTerm, SynTerm]]:
     return None
 
 
+class NotInLanguage(ValueError):
+    """A fold met a node outside the language it reads."""
+
+
+def op_table(ops: dict[Const, Callable]) -> dict[int, Callable]:
+    """An operator table for ``fold``: registered constant nodes keyed by
+    identity, which costs no structural hash or comparison per node."""
+    return {id(c): f for c, f in ops.items()}
+
+
+def _registered(c: SynTerm) -> SynTerm:
+    """The registered node equal to c, or c itself."""
+    return _CONSTANTS.get((c.symbol, c.ty), c) if type(c) is Const else c
+
+
+_UNARY_STEP = object()  # on fold's work stack, above the operator to apply
+_BINARY_STEP = object()
+
+
+def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
+    """Fold t bottom-up: App(c, a) with c in ``unary`` is unary[c](a's
+    value), App(App(c, a), b) with c in ``binary`` is binary[c](a's value,
+    b's value), and every other node is leaf(node).
+
+    Undefinedness is strict, here once for every fold: a None operand
+    makes its node None without calling the operator.  Operands are
+    visited left to right, on an explicit stack, so term depth is bounded
+    by memory only.  ``leaf`` may raise NotInLanguage.  The tables come
+    from ``op_table``; an operator node equal to a registered one but not
+    the same object is matched through the registry.
+    """
+    vals: list = []
+    todo: list = [t]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if type(node) is App:
+            f = node.fun
+            if type(f) is App:
+                op = binary.get(id(f.fun)) or binary.get(id(_registered(f.fun)))
+                if op is not None:
+                    todo += (op, _BINARY_STEP, node.arg, f.arg)
+                    continue
+            else:
+                op = unary.get(id(f)) or unary.get(id(_registered(f)))
+                if op is not None:
+                    todo += (op, _UNARY_STEP, node.arg)
+                    continue
+            vals.append(leaf(node))
+        elif node is _UNARY_STEP:
+            op = pop()
+            if vals[-1] is not None:
+                vals[-1] = op(vals[-1])
+        elif node is _BINARY_STEP:
+            op = pop()
+            b = vals.pop()
+            a = vals[-1]
+            vals[-1] = None if a is None or b is None else op(a, b)
+        else:
+            vals.append(leaf(node))
+    return vals[0]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
-
-_I3 = Arrow(INT, Arrow(INT, INT))
-_I1 = Arrow(INT, INT)
-_Q3 = Arrow(RAT, Arrow(RAT, RAT))
-_Q1 = Arrow(RAT, RAT)
-
-
-def _fold_int(t: SynTerm) -> Optional[int]:
-    """Value of a closed integer term; None where no value exists."""
-    if isinstance(t, IntLit):
-        return t.value
-    if isinstance(t, App):
-        if isinstance(t.fun, App) and isinstance(t.fun.fun, Const):
-            c = t.fun.fun
-            if c.ty == _I3:
-                a = _fold_int(t.fun.arg)
-                b = _fold_int(t.arg)
-                if a is None or b is None:
-                    return None
-                if c.symbol == "+":
-                    return a + b
-                if c.symbol == "*":
-                    return a * b
-                if c.symbol == "^":
-                    return a**b if b >= 0 else None
-        if isinstance(t.fun, Const) and t.fun.ty == _I1 and t.fun.symbol == "-":
-            a = _fold_int(t.arg)
-            return -a if a is not None else None
-    return None
-
-
-def _fold_rat(t: SynTerm) -> Optional[Fraction]:
-    """Value of a closed rational term; inverse of zero is undefined."""
-    if isinstance(t, RatLit):
-        return t.value
-    if isinstance(t, App):
-        if isinstance(t.fun, App) and isinstance(t.fun.fun, Const):
-            c = t.fun.fun
-            if c.ty == _Q3:
-                a = _fold_rat(t.fun.arg)
-                b = _fold_rat(t.arg)
-                if a is None or b is None:
-                    return None
-                if c.symbol == "+":
-                    return a + b
-                if c.symbol == "*":
-                    return a * b
-        if isinstance(t.fun, Const) and t.fun.ty == _Q1:
-            a = _fold_rat(t.arg)
-            if a is None:
-                return None
-            if t.fun.symbol == "-":
-                return -a
-            if t.fun.symbol == "inv":
-                return 1 / a if a != 0 else None
-    return None
 
 
 def eval_as(t: SynTerm, ty: SemType) -> Optional[Value]:
@@ -320,21 +332,9 @@ def eval_as(t: SynTerm, ty: SemType) -> Optional[Value]:
     if not isinstance(t, Quote):
         raise ValueError("eval_as needs a quotation")
     b = t.term
-    if ty == INT:
-        if infer_type(b) != INT:
-            return None
-        v = _fold_int(b)
-        return IntV(v) if v is not None else None
-    if ty == RAT:
-        if infer_type(b) != RAT:
-            return None
-        v = _fold_rat(b)
-        return RatV(v) if v is not None else None
-    if ty == SYNTAX:
-        if isinstance(b, Quote):
-            return TermV(b.term)
-        return None
     fn = _EVALUATORS.get(ty)
     if fn is not None:
         return fn(b)
+    if ty == SYNTAX and isinstance(b, Quote):
+        return TermV(b.term)
     return None

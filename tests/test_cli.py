@@ -125,6 +125,24 @@ def test_domain_text_and_json(capsys):
     assert run(capsys, "domain", "x", "--lo", "2", "--hi", "1")[0] == 2
 
 
+def test_domain_needs_finite_ends(capsys):
+    for lo, hi in (("0", "inf"), ("-inf", "0"), ("nan", "1")):
+        code, out, err = run(capsys, "domain", "sin(x)", f"--lo={lo}", f"--hi={hi}", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "domain: need finite lo and hi"
+
+
+def test_deep_sum_norm_and_eval(capsys):
+    src = " + ".join(["x"] * 2999 + ["1/(x - 2)"])
+    code, out, _ = run(capsys, "norm-expr", src)
+    assert code == 0
+    assert out.strip() == "(2999 * x^2 - 5998 * x + 1) / (x - 2)"
+    code, out, _ = run(capsys, "eval", src, "--at", "1")
+    assert code == 0
+    assert out.strip() == "2998"
+
+
 def test_domain_literal_too_large_for_a_float(capsys):
     code, out, _ = run(capsys, "domain", "x + 1" + "0" * 400, "--n", "5")
     assert code == 0

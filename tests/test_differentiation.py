@@ -341,6 +341,25 @@ def test_deep_terms_evaluate_without_recursion():
     assert domain_sample(t, -1.0, 1.0, 3).undefined_points() == []
 
 
+def test_deep_nest_is_member_without_recursion():
+    t = X_R
+    for _ in range(3000):
+        t = r_sin(t)
+    assert is_diff_expr(t)
+    assert not is_diff_expr(r_pow(X_R, t))
+
+
+def test_non_finite_points_are_undefined():
+    for a in (math.inf, -math.inf, math.nan):
+        assert not eval_real(X_R, a).is_defined
+        assert not eval_real(r_sin(X_R), a).is_defined
+        assert not eval_real(r_lit(3), a).is_defined
+        assert not deriv_numeric(X_R, a).is_defined
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need finite lo and hi"):
+            domain_sample(X_R, lo, hi, 3)
+
+
 def test_lowering_shares_repeated_subterms():
     u = r_sin(r_add(X_R, r_lit(1)))
     prog = compile_real(r_mul(u, r_add(u, r_lit(1))))

@@ -5,9 +5,11 @@ branch-tallied reports, and green runs for every registered check.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from microcas.cli import main
 from microcas.harness import (
     CHECKS,
     BranchTally,
@@ -164,3 +166,12 @@ def test_checks_are_reproducible():
     first = [r.to_dict() for r in check_all(cfg)]
     second = [r.to_dict() for r in check_all(cfg)]
     assert first == second
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_check_all_json_matches_recorded_output(seed, capsys):
+    """A refactor keeps every contract verdict and counterexample: the
+    report is byte for byte the one recorded in tests/data."""
+    assert main(["check", "all", "--format", "json", "--cases", "40", "--seed", str(seed)]) == 0
+    recorded = Path(__file__).parent / "data" / f"check_all_seed{seed}_cases40.json"
+    assert capsys.readouterr().out.encode() == recorded.read_bytes()

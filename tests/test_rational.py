@@ -328,3 +328,59 @@ def test_builders_match_parser():
     assert q_pow(X_Q, 3) == rx("x^3")
     assert q_pow(X_Q, -2) == rx("x^-2")
     assert q_pow(X_Q, 0) == rx("1")
+
+
+# -- the fold: depth, strictness, order ---------------------------------
+
+
+def _deep_sum(n: int = 3000):
+    """inv(x - 1) + x + x + ... with n terms, nested n deep on the left."""
+    t = q_inv(q_sub(X_Q, q_lit(1)))
+    for _ in range(n - 1):
+        t = q_add(t, X_Q)
+    return t
+
+
+DEEP_SUM = _deep_sum()
+# 1/(x - 1) + 2999 x = (2999 x^2 - 2999 x + 1) / (x - 1)
+DEEP_SUM_VALUE = CanonicalFraction(Poly([1, -2999, 2999]), Poly([-1, 1]))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: is_rat_expr(DEEP_SUM),
+        lambda: frac_value(DEEP_SUM) == DEEP_SUM_VALUE,
+        lambda: eval_pointwise(DEEP_SUM, 2) == 5999 and eval_pointwise(DEEP_SUM, 1) is None,
+        lambda: flatten_raw(DEEP_SUM)[2] == [Poly([-1, 1])],
+        lambda: norm_rat_expr(DEEP_SUM) == frac_to_term(DEEP_SUM_VALUE),
+        lambda: singular_points(DEEP_SUM) == [Fraction(1)],
+    ],
+    ids=[
+        "is_rat_expr",
+        "frac_value",
+        "eval_pointwise",
+        "flatten_raw",
+        "norm_rat_expr",
+        "singular_points",
+    ],
+)
+def test_deep_sum_without_recursion(check):
+    assert check()
+
+
+def test_undefined_operand_poisons_its_term():
+    assert eval_pointwise(q_mul(q_lit(0), q_inv(X_Q)), 0) is None
+    assert eval_pointwise(q_mul(q_lit(0), q_inv(X_Q)), 1) == 0
+
+
+def test_flatten_raw_lists_inverted_numerators_left_to_right():
+    _, _, invs = flatten_raw(rx("1/x + 1/(x - 1)"))
+    assert invs == [Poly([0, 1]), Poly([-1, 1])]
+
+
+@pytest.mark.parametrize("fn", [frac_value, flatten_raw, lambda t: eval_pointwise(t, 1)])
+def test_value_functions_raise_off_language(fn):
+    for t in (Var("y", RAT), IntLit(1), q_add(X_Q, Var("x", INT)), Lambda("x", RAT, X_Q)):
+        with pytest.raises(ValueError):
+            fn(t)

@@ -7,13 +7,14 @@ is undefined (None).
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
 
-from microcas.differentiation import X_R, r_add, r_lit
+from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow, r_sin
 from microcas.factoring import i_add, i_mul, i_neg, i_pow
-from microcas.rational import q_add, q_inv, q_lit, q_mul, q_neg, X_Q
+from microcas.rational import frac_value, is_rat_expr, q_add, q_inv, q_lit, q_mul, q_neg, X_Q
 from microcas.terms import (
     FRAC,
     INT,
@@ -154,3 +155,30 @@ def test_terms_are_hashable_values():
     assert len(seen) == 2
     assert IntLit(3) == IntLit(3)
     assert RatLit(Fraction(2, 4)) == RatLit(Fraction(1, 2))
+
+
+def test_terms_with_copied_operator_nodes_read_the_same():
+    # Folds match the registered operator nodes by identity; a copy of a
+    # term has equal operator nodes that are other objects.
+    rat = q_mul(q_neg(X_Q), q_inv(q_add(X_Q, q_lit(1))))
+    real = r_pow(r_sin(X_R), r_lit(2))
+    closed = i_add(i_pow(IntLit(2), IntLit(3)), i_neg(IntLit(1)))
+    rat2, real2, closed2 = copy.deepcopy((rat, real, closed))
+    assert rat2.fun.fun is not rat.fun.fun
+    assert is_rat_expr(rat2) and frac_value(rat2) == frac_value(rat)
+    assert is_diff_expr(real2)
+    assert eval_as(quote(closed2), INT) == IntV(7)
+
+
+def test_integer_and_rational_evaluation_of_deep_terms():
+    t, q = IntLit(1), q_lit(1)
+    for _ in range(3000):
+        t, q = i_add(t, IntLit(1)), q_add(q, q_lit(1))
+    assert eval_as(quote(t), INT) == IntV(3001)
+    assert eval_as(quote(q), RAT) == RatV(Fraction(3001))
+    assert eval_as(quote(t), RAT) is None
+    assert eval_as(quote(q), INT) is None
+    # Ill-typed: the value exists for neither type.
+    mixed = i_add(IntLit(1), q_lit(1))
+    assert eval_as(quote(mixed), INT) is None
+    assert eval_as(quote(mixed), RAT) is None
