@@ -385,9 +385,10 @@ class RealProgram:
 
     Register 0 holds x and the next ``len(init) - 1`` registers the
     term's literals, as floats; step k, an ``(op, i, j)`` triple, writes
-    register ``len(init) + k`` from registers i and j (j is the
-    exponent of a power, unused by unary steps).  The last register is
-    the term's value.  Shared subterms are computed once.
+    register ``len(init) + k`` from registers i and j (j is a power's
+    exponent as ``_exponent`` reads it, unused by unary steps).  The
+    last register is the term's value.  Shared subterms are computed
+    once.
     """
 
     init: tuple[float, ...]
@@ -507,7 +508,7 @@ def compile_real(t: SynTerm) -> Optional[RealProgram]:
                     c = lit_value(node.arg)
                     if c is None:
                         return None
-                    todo += (c, op, _EMIT, f.arg)
+                    todo += (_exponent(c), op, _EMIT, f.arg)
                 else:
                     todo += (None, op, _EMIT, node.arg, f.arg)
             else:
@@ -563,18 +564,30 @@ def _finite(v: float) -> Optional[float]:
     return v if math.isfinite(v) else None
 
 
-def _pow_real(u: float, c: Fraction) -> Optional[float]:
-    """u**c for rational c = p/q in lowest terms: defined for u > 0,
-    for u = 0 when c > 0, and for u < 0 when q is odd."""
+def _exponent(c: Fraction) -> tuple:
+    """A power's exponent c = p/q in lowest terms, read once for
+    _pow_real: float(c) (None when too large for a float), whether
+    c > 0, whether p is odd and whether q is odd."""
+    try:
+        fc = float(c)
+    except OverflowError:
+        fc = None
+    return fc, c > 0, c.numerator % 2 == 1, c.denominator % 2 == 1
+
+
+def _pow_real(u: float, e: tuple) -> Optional[float]:
+    """u**c for the exponent e = _exponent(c), c = p/q: defined for
+    u > 0, for u = 0 when c > 0, and for u < 0 when q is odd."""
+    fc, positive, odd_p, odd_q = e
+    if u == 0.0:
+        return 0.0 if positive else None
+    if fc is None or (u < 0.0 and not odd_q):
+        return None
     try:
         if u > 0.0:
-            return _finite(math.pow(u, float(c)))
-        if u == 0.0:
-            return 0.0 if c > 0 else None
-        if c.denominator % 2 == 1:
-            mag = math.pow(-u, float(c))
-            return _finite(-mag if c.numerator % 2 else mag)
-        return None
+            return _finite(math.pow(u, fc))
+        mag = math.pow(-u, fc)
+        return _finite(-mag if odd_p else mag)
     except OverflowError:
         return None
 

@@ -172,9 +172,17 @@ X = Poly([0, 1])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd; gcd(p, 0) is monic p, gcd(0, 0) is an error."""
+    """Monic gcd; gcd(p, 0) is monic p, gcd(0, 0) is an error.
+
+    A nonzero constant operand makes the gcd 1 at once.  The result is
+    monic, so dividing a monic polynomial by it leaves a monic quotient:
+    the fraction arithmetic in ``rational`` relies on that to keep its
+    denominators monic without rescaling.
+    """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
+    if p.degree == 0 or q.degree == 0:
+        return ONE
     while not q.is_zero():
         p, q = q, p % q
     return p.monic()

@@ -184,7 +184,17 @@ def body(t: SynTerm) -> SynTerm:
 class CanonicalFraction:
     """Reduced fraction of polynomials: gcd(num, den) = 1, den monic.
 
-    Zero is 0/1.  Use ``make`` to build one from an arbitrary pair.
+    Zero is 0/1.  Use ``make`` to build one from an arbitrary pair; the
+    public constructor checks that its pair is already canonical.
+
+    The field operations rely on their operands being canonical
+    (Henrici's reduced-operand arithmetic, Knuth TAOCP 4.5.1), so each
+    takes only the gcds that can be nontrivial and none to check its
+    result: ``*`` cancels gcd(n1, d2) and gcd(n2, d1) crosswise; ``+``
+    takes g = gcd(d1, d2), and where g is not 1 cancels gcd(t, g) from
+    t = n1 (d2/g) + n2 (d1/g).  Every quotient of monic polynomials is
+    monic, so results need no rescaling; ``inv`` rescales by the
+    numerator's leading coefficient and ``-`` negates the numerator.
     """
 
     num: Poly
@@ -195,11 +205,11 @@ class CanonicalFraction:
         if den.is_zero():
             raise ZeroDivisionError("fraction with zero denominator")
         if num.is_zero():
-            return cls(ZERO, ONE)
+            return _ZERO_FRAC
         g = poly_gcd(num, den)
-        num, den = num // g, den // g
-        lead = den.leading
-        return cls(num.scale(1 / lead), den.scale(1 / lead))
+        if g.degree != 0:
+            num, den = num // g, den // g
+        return _monic_den(num, den)
 
     def __post_init__(self) -> None:
         if self.den.is_zero():
@@ -213,26 +223,63 @@ class CanonicalFraction:
             raise ValueError("zero must be 0/1")
 
     def __add__(self, other: "CanonicalFraction") -> "CanonicalFraction":
-        return CanonicalFraction.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g = poly_gcd(d1, d2)
+        if g.degree != 0:
+            d1, d2 = d1 // g, d2 // g
+        num = n1 * d2 + n2 * d1
+        if num.is_zero():
+            return _ZERO_FRAC
+        if g.degree != 0:
+            g2 = poly_gcd(num, g)
+            if g2.degree != 0:
+                num, g = num // g2, g // g2
+            d2 = d2 * g
+        return _canonical(num, d1 * d2)
 
     def __mul__(self, other: "CanonicalFraction") -> "CanonicalFraction":
-        return CanonicalFraction.make(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n1.is_zero() or n2.is_zero():
+            return _ZERO_FRAC
+        g1, g2 = poly_gcd(n1, d2), poly_gcd(n2, d1)
+        if g1.degree != 0:
+            n1, d2 = n1 // g1, d2 // g1
+        if g2.degree != 0:
+            n2, d1 = n2 // g2, d1 // g2
+        return _canonical(n1 * n2, d1 * d2)
 
     def __neg__(self) -> "CanonicalFraction":
-        return CanonicalFraction(-self.num, self.den)
+        return _canonical(-self.num, self.den)
 
     def inv(self) -> Optional["CanonicalFraction"]:
         """Multiplicative inverse, None for zero."""
         if self.num.is_zero():
             return None
-        return CanonicalFraction.make(self.den, self.num)
+        return _monic_den(self.den, self.num)
 
 
-FRAC_X = CanonicalFraction(X, ONE)
+def _canonical(num: Poly, den: Poly) -> CanonicalFraction:
+    """A CanonicalFraction from a pair already known to be canonical,
+    without the public constructor's checks."""
+    c = object.__new__(CanonicalFraction)
+    object.__setattr__(c, "num", num)
+    object.__setattr__(c, "den", den)
+    return c
 
-_FRAC_LEAF = _leaf(lambda c: CanonicalFraction(Poly([c]), ONE), FRAC_X)
+
+def _monic_den(num: Poly, den: Poly) -> CanonicalFraction:
+    """The canonical fraction of a coprime pair: both rescaled so that
+    the denominator is monic."""
+    lead = den.leading
+    if lead != 1:
+        num, den = num.scale(1 / lead), den.scale(1 / lead)
+    return _canonical(num, den)
+
+
+_ZERO_FRAC = _canonical(ZERO, ONE)
+FRAC_X = _canonical(X, ONE)
+
+_FRAC_LEAF = _leaf(lambda c: _canonical(Poly([c]), ONE), FRAC_X)
 _FRAC_UNARY = op_table({NEG_Q: operator.neg, INV_Q: CanonicalFraction.inv})
 
 

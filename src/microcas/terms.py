@@ -204,28 +204,46 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
 
     Variables carry their own types (two variables with the same name
     but different types are simply different variables), so no
-    environment is needed and open terms type fine.
+    environment is needed and open terms type fine.  Every node outside
+    a quotation is visited, on an explicit stack, so a node that is not
+    a term raises TypeError wherever it sits and depth is bounded by
+    memory only.
     """
-    if isinstance(t, IntLit):
-        return INT
-    if isinstance(t, RatLit):
-        return RAT
-    if isinstance(t, Var):
-        return t.ty
-    if isinstance(t, Const):
-        return t.ty if (t.symbol, t.ty) in _CONSTANTS else None
-    if isinstance(t, Quote):
-        return SYNTAX
-    if isinstance(t, Lambda):
-        bt = infer_type(t.body)
-        return Arrow(t.var_ty, bt) if bt is not None else None
-    if isinstance(t, App):
-        ft = infer_type(t.fun)
-        at = infer_type(t.arg)
-        if isinstance(ft, Arrow) and at is not None and ft.dom == at:
-            return ft.cod
-        return None
-    raise TypeError(f"not a term: {t!r}")
+    types: list = []
+    todo: list = [t]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if isinstance(node, App):
+            todo += (_APPLY, node.arg, node.fun)
+        elif isinstance(node, Lambda):
+            todo += (node.var_ty, _ABSTRACT, node.body)
+        elif node is _APPLY:
+            at = types.pop()
+            ft = types[-1]
+            ok = isinstance(ft, Arrow) and at is not None and ft.dom == at
+            types[-1] = ft.cod if ok else None
+        elif node is _ABSTRACT:
+            var_ty = pop()
+            if types[-1] is not None:
+                types[-1] = Arrow(var_ty, types[-1])
+        elif isinstance(node, IntLit):
+            types.append(INT)
+        elif isinstance(node, RatLit):
+            types.append(RAT)
+        elif isinstance(node, Var):
+            types.append(node.ty)
+        elif isinstance(node, Const):
+            types.append(node.ty if (node.symbol, node.ty) in _CONSTANTS else None)
+        elif isinstance(node, Quote):
+            types.append(SYNTAX)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return types[0]
+
+
+_APPLY = object()  # on infer_type's work stack, above an application's operands
+_ABSTRACT = object()  # above an abstraction's body, with its variable type under it
 
 
 def is_expr_of(t: SynTerm, ty: SemType) -> bool:

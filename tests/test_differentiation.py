@@ -329,8 +329,11 @@ def test_literal_too_large_for_a_float_is_undefined():
     assert not eval_real(huge, 1.0).is_defined
     assert not eval_real(r_add(X_R, huge), 1.0).is_defined
     assert domain_sample(r_sin(huge), -1.0, 1.0, 3).defined_points() == []
-    # As an exponent the literal is read exactly, not as a float.
+    # As an exponent the literal is read exactly, not as a float: the
+    # power is defined at 0 alone.
     assert eval_real(r_pow(X_R, huge), 0.0).value == 0.0
+    for a in (0.5, 1.0, 2.0, -1.0):
+        assert not eval_real(r_pow(X_R, huge), a).is_defined
 
 
 def test_deep_terms_evaluate_without_recursion():

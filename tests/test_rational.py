@@ -13,12 +13,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microcas.harness import GenConfig, draw_rat_expr, draw_rat_fun
 from microcas.parser import parse
-from microcas.polynomials import Poly, poly_gcd
+from microcas.polynomials import ONE, Poly, poly_gcd
 from microcas.printing import to_infix
 from microcas.rational import (
     CanonicalFraction,
@@ -82,6 +82,56 @@ def test_canonical_fraction_field_operations():
     zero = CanonicalFraction.make(Poly(), Poly([1]))
     assert zero.inv() is None
     assert x + (-x) == zero
+
+
+_SMALL_POLYS = st.lists(st.integers(-3, 3), max_size=4).map(Poly)
+_NONZERO_POLYS = _SMALL_POLYS.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two fractions built by make, whose denominators share a drawn
+    factor (a constant one shares nothing)."""
+    shared = draw(_NONZERO_POLYS)
+    return tuple(
+        CanonicalFraction.make(draw(_SMALL_POLYS), draw(_NONZERO_POLYS) * shared)
+        for _ in range(2)
+    )
+
+
+def _is_canonical(c: CanonicalFraction) -> bool:
+    if c.num.is_zero():
+        return c.den == ONE
+    return c.den.leading == 1 and poly_gcd(c.num, c.den).degree == 0
+
+
+_X_X_MINUS_1 = Poly([0, -1, 1])
+_X_X_PLUS_1 = Poly([0, 1, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_pairs())
+# 1/(x(x-1)) + 1/(x(x+1)) = 2/((x-1)(x+1)): both gcds of + are x
+@example((CanonicalFraction.make(ONE, _X_X_MINUS_1), CanonicalFraction.make(ONE, _X_X_PLUS_1)))
+# x/(x(x+1)) - 1/(x+1) = 0 over a shared denominator
+@example((CanonicalFraction.make(Poly([0, 1]), _X_X_PLUS_1), CanonicalFraction.make(Poly([-1]), Poly([1, 1]))))
+# (x-1)/(2x+2) * (4x+4)/(x^2-x): cancels crosswise to 2/x
+@example((CanonicalFraction.make(Poly([-1, 1]), Poly([2, 2])), CanonicalFraction.make(Poly([4, 4]), _X_X_MINUS_1)))
+def test_field_operations_agree_with_make(pair):
+    a, b = pair
+    make = CanonicalFraction.make
+    results = [
+        (a + b, make(a.num * b.den + b.num * a.den, a.den * b.den)),
+        (a * b, make(a.num * b.num, a.den * b.den)),
+        (-a, make(-a.num, a.den)),
+    ]
+    if a.num.is_zero():
+        assert a.inv() is None
+    else:
+        results.append((a.inv(), make(a.den, a.num)))
+    for got, want in results:
+        assert got == want
+        assert _is_canonical(got)
 
 
 # -- the value routes ---------------------------------------------------

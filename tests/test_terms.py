@@ -85,6 +85,17 @@ def test_lambda_typing():
     assert infer_type(broken) is None
 
 
+def test_typing_of_deep_terms():
+    t, q = IntLit(1), q_lit(1)
+    for _ in range(3000):
+        t, q = i_add(t, IntLit(1)), q_add(q, q_lit(1))
+    assert infer_type(t) == INT and is_expr_of(t, INT)
+    assert infer_type(q) == RAT and not is_expr_of(q, INT)
+    assert infer_type(Lambda("x", RAT, q)) == Arrow(RAT, RAT)
+    with pytest.raises(TypeError):
+        infer_type(i_add(t, "1"))
+
+
 def test_match_helpers():
     plus_q = Const("+", Arrow(RAT, Arrow(RAT, RAT)))
     t = q_add(q_lit(1), q_lit(2))
