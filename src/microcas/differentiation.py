@@ -232,6 +232,9 @@ def _d(t: SynTerm) -> SynTerm:
         return r_mul(_d(arg), r_exp(arg))
     arg = match_unary(t, LN_R)
     if arg is not None:
+        inner = match_unary(arg, EXP_R)
+        if inner is not None:  # exp(w) is nonzero wherever w is defined
+            return _d(inner)
         return r_mul(_d(arg), r_inv(arg))
     arg = match_unary(t, SIN_R)
     if arg is not None:

@@ -1,17 +1,23 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over the exact rationals, computed over Z.
 
-Coefficients are stored ascending (coeffs[i] multiplies x**i) with no
-trailing zeros, so structural equality is semantic equality.  Division
-and gcd are exact; the gcd is the monic Euclidean one.  rational_roots
-and linear_part expose the rational-root structure the normalization
-code needs.
+A polynomial is stored as an integer numerator and a common denominator:
+``_num`` holds integer coefficients ascending (``_num[i]`` multiplies
+x**i) with no trailing zeros, and ``_den`` is an int >= 1 coprime to the
+content of ``_num``.  Every polynomial has exactly one such form, so
+structural equality is semantic equality; ``_poly`` is the one place
+that form is made.  The public views (``coeffs``, ``leading``,
+``eval_at``, ...) speak ``Fraction``; all arithmetic behind them is on
+integers.  Division is integer pseudo-division divided through once,
+and the gcd is the monic end of Collins's primitive remainder sequence.
+rational_roots and linear_part expose the rational-root structure the
+normalization code needs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 NEG_INFINITY = float("-inf")
 
@@ -19,55 +25,55 @@ _RatLike = Union[int, Fraction]
 
 
 class Poly:
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[_RatLike] = ()) -> None:
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self._num, self._den = p._num, p._den
 
     # -- basic views --------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int | float:
         """Degree, with the zero polynomial at minus infinity."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._num) - 1 if self._num else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coeff(self, i: int) -> Fraction:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self._coeffs == other._coeffs
+        return isinstance(other, Poly) and self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self._coeffs]})"
+        return f"Poly({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(self._num) - 1, -1, -1):
+            c = self.coeff(k)
             if c == 0:
                 continue
             if k == 0:
@@ -81,35 +87,35 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._coeffs, other._coeffs
+        (a, da), (b, db) = (self._num, self._den), (other._num, other._den)
+        g = gcd(da, db)
+        a, b = _times(a, db // g), _times(b, da // g)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a[i] += c
+        return _poly(a, da // g * db)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self._coeffs)
+        return _poly([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self._coeffs, other._coeffs
+        a, b = self._num, other._num
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _poly(out, self._den * other._den)
 
     def scale(self, c: _RatLike) -> "Poly":
         c = Fraction(c)
-        return Poly(c * k for k in self._coeffs)
+        return _poly(_times(self._num, c.numerator), self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -126,21 +132,11 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self._coeffs) - len(other._coeffs) + 1, 0)
-        r = list(self._coeffs)
-        d = other._coeffs
-        lead = d[-1]
-        while len(r) >= len(d):
-            c = r[-1] / lead
-            k = len(r) - len(d)
-            q[k] = c
-            for i, dc in enumerate(d):
-                r[i + k] -= c * dc
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                break
-        return Poly(q), Poly(r)
+        # s * self._num = q * other._num + r, so
+        # self = (q * other._den / (s * self._den)) * other + r / (s * self._den).
+        q, r, s = _pdiv(self._num, other._num)
+        den = s * self._den
+        return _poly(_times(q, other._den), den), _poly(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -153,104 +149,168 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        return self.scale(1 / self.leading)
+        return _poly(list(self._num), self._num[-1])
 
     def eval_at(self, a: _RatLike) -> Fraction:
         a = Fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * a + c
-        return acc
+        if not self._num:
+            return Fraction(0)
+        # Horner's rule on q^n f(p/q) = sum c_i p^i q^(n-i), a = p/q.
+        p, q = a.numerator, a.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._num):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self._den * qk // q)
 
     def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self._coeffs) if k > 0)
+        return _poly([k * c for k, c in enumerate(self._num) if k > 0], self._den)
 
 
-ZERO = Poly()
-ONE = Poly([1])
-X = Poly([0, 1])
+def _content(cs: Iterable[int], g: int = 0) -> int:
+    """gcd(g, *cs), stopping as soon as it reaches 1."""
+    for c in cs:
+        if g == 1:
+            break
+        g = gcd(g, c)
+    return g
+
+
+def _times(cs: Iterable[int], k: int) -> list[int]:
+    return list(cs) if k == 1 else [k * c for c in cs]
+
+
+def _poly(num: list[int], den: int) -> Poly:
+    """The Poly num/den in its one stored form; den is a nonzero int.
+    Strips trailing zeros and divides out gcd(content(num), den)."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den < 0:
+        num, den = [-c for c in num], -den
+    if den != 1:
+        g = _content(num, den)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    p = object.__new__(Poly)
+    p._num, p._den = tuple(num), den
+    return p
+
+
+def _pdiv(a: Iterable[int], b: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of a by nonzero b: (q, r, s) with
+    s * a = q * b + r, deg r < deg b and s a power of lc(b).  A step
+    scales by lc(b) only when the top coefficient is not already a
+    multiple of it, so dividing by an integer monic b never scales."""
+    r = list(a)
+    n, lead = len(b) - 1, b[-1]
+    q = [0] * max(len(r) - n, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if c % lead:
+            r, q, s, c = _times(r, lead), _times(q, lead), s * lead, c * lead
+        t = c // lead
+        q[k] = t
+        for i in range(n):
+            r[k + i] -= t * b[i]
+    return q, r, s
+
+
+ZERO = _poly([], 1)
+ONE = _poly([1], 1)
+X = _poly([0, 1], 1)
+
+
+def _primitive(cs: Iterable[int]) -> list[int]:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    g = _content(cs)
+    return cs if g <= 1 else [c // g for c in cs]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd; gcd(p, 0) is monic p, gcd(0, 0) is an error.
 
-    A nonzero constant operand makes the gcd 1 at once.  The result is
-    monic, so dividing a monic polynomial by it leaves a monic quotient:
-    the fraction arithmetic in ``rational`` relies on that to keep its
+    A nonzero constant operand makes the gcd 1 at once.  Otherwise
+    Collins's primitive remainder sequence runs on the integer
+    numerators, taking the primitive part of every pseudo-remainder,
+    and the last nonzero term is made monic.  The result is monic, so
+    dividing a monic polynomial by it leaves a monic quotient: the
+    fraction arithmetic in ``rational`` relies on that to keep its
     denominators monic without rescaling.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if p.degree == 0 or q.degree == 0:
         return ONE
-    while not q.is_zero():
-        p, q = q, p % q
-    return p.monic()
+    a, b = _primitive(p._num), _primitive(q._num)
+    while len(b) > 1:
+        a, b = b, _primitive(_pdiv(a, b)[1])
+    return ONE if b else _poly(a, a[-1])
 
 
-def _int_clear(p: Poly) -> list[int]:
-    """Integer coefficient list (ascending) proportional to p."""
-    mult = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return [int(c * mult) for c in p.coeffs]
+def _deflate(cs: list[int], p: int, q: int) -> Optional[list[int]]:
+    """The integer quotient of cs by (q x - p), or None when (q x - p)
+    does not divide it.  For a primitive cs and coprime p, q, Gauss's
+    lemma makes the quotient integral when p/q is a root, so a step that
+    does not divide exactly proves p/q is no root."""
+    out = []
+    acc = 0
+    for c in reversed(cs[1:]):
+        acc, rem = divmod(c + p * acc, q)
+        if rem:
+            return None
+        out.append(acc)
+    if cs[0] + p * acc:
+        return None
+    out.reverse()
+    return out
 
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, sorted by value.
 
-    Classic rational-root theorem: after clearing denominators, any
-    root a/b in lowest terms has a dividing the constant term and b
-    dividing the leading one; multiplicities come from repeated exact
-    deflation.
+    Classic rational-root theorem on the primitive integer numerator:
+    any root p/q in lowest terms has p dividing the constant term and q
+    dividing the leading one.  Candidates are visited numerator-major,
+    each coprime pair once, skipping those beyond the Cauchy bound;
+    each is tried by exact integer division by (q x - p), repeated for
+    its multiplicity.
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
     if p.degree == 0:
         return []
     roots: dict[Fraction, int] = {}
-    work = p
     zero_mult = 0
-    while work.coeff(0) == 0:
-        work = Poly(work.coeffs[1:])
+    while not p._num[zero_mult]:
         zero_mult += 1
     if zero_mult:
         roots[Fraction(0)] = zero_mult
-    if work.degree >= 1:
+    work = _primitive(p._num[zero_mult:])
+    if len(work) > 1:
         from .factoring import divisors  # local: factoring has no poly deps
 
-        ints = _int_clear(work)
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
-        ints = [c // content for c in ints]
-        bound = 1 + max(abs(Fraction(c, ints[-1])) for c in ints)
-        nums = divisors(ints[0])
-        dens = divisors(ints[-1])
-        seen: set[Fraction] = set()
-        for num in nums:
+        lead = abs(work[-1])
+        # p/q beyond 1 + max|c_i / c_n| is no root.
+        bound = lead + max(abs(c) for c in work)
+        dens = divisors(lead)
+        for num in divisors(work[0]):
             for den in dens:
-                cand = Fraction(num, den)
-                if cand in seen or cand > bound:
+                if gcd(num, den) != 1 or num * lead > bound * den:
                     continue
-                seen.add(cand)
-                for r in (cand, -cand):
+                for r in (num, -num):
                     mult = 0
-                    while work.degree >= 1 and work.eval_at(r) == 0:
-                        work = _deflate(work, r)
-                        mult += 1
+                    while len(work) > 1 and (quotient := _deflate(work, r, den)) is not None:
+                        work, mult = quotient, mult + 1
                     if mult:
-                        roots[r] = mult
+                        roots[Fraction(r, den)] = mult
     return sorted(roots.items())
-
-
-def _deflate(p: Poly, r: Fraction) -> Poly:
-    """Exact synthetic division of p by (x - r); p(r) must be 0."""
-    out: list[Fraction] = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    assert out[-1] == 0, "deflation by a non-root"
-    return Poly(list(reversed(out[:-1])))
 
 
 def linear_part(p: Poly) -> Poly:

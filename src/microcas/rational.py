@@ -305,33 +305,28 @@ def eval_pointwise(t: SynTerm, a: Fraction | int) -> Optional[Fraction]:
 # rendering values back to terms
 
 
-def _x_power(k: int) -> SynTerm:
-    out = X_Q
-    for _ in range(k - 1):
-        out = q_mul(X_Q, out)
-    return out
-
-
-def _monomial(c: Fraction, k: int) -> SynTerm:
-    # caller guarantees c > 0
-    if k == 0:
-        return q_lit(c)
-    if c == 1:
-        return _x_power(k)
-    return q_mul(q_lit(c), _x_power(k))
-
-
 def _poly_term(p: Poly) -> SynTerm:
     """Descending-power sum; negative coefficients ride on unary minus
-    so the result survives a print/parse round trip."""
-    if p.is_zero():
+    so the result survives a print/parse round trip.  Each power x^k is
+    x * x^(k-1) on the node of the one before, so the chains share."""
+    cs = p.coeffs
+    if not cs:
         return q_lit(0)
+    powers = [None, X_Q]  # powers[k] is x^k for k >= 1
+    while len(powers) < len(cs):
+        powers.append(q_mul(X_Q, powers[-1]))
     out: SynTerm | None = None
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeff(k)
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
-        mono = _monomial(abs(c), k)
+        a = abs(c)
+        if k == 0:
+            mono = q_lit(a)
+        elif a == 1:
+            mono = powers[k]
+        else:
+            mono = q_mul(q_lit(a), powers[k])
         if out is None:
             out = q_neg(mono) if c < 0 else mono
         elif c < 0:

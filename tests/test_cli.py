@@ -65,6 +65,18 @@ def test_diff_flagship_output(capsys):
     assert out.strip() == "(2 * x + 1) * cos(x^2 + x)"
 
 
+def test_diff_of_log_of_exp_is_derivative_of_exponent(capsys):
+    # No exp(w) / exp(w) factor is emitted, which would overflow in
+    # float evaluation where the term itself is finite.
+    code, out, _ = run(capsys, "diff", "ln(exp(exp(7 + inv(x))))")
+    assert code == 0
+    assert out.strip() == "-x^-2 * exp(7 + inv(x))"
+
+
+def test_diff_suite_passes_at_former_overflow_seed(capsys):
+    assert run(capsys, "check", "diff", "--cases", "100", "--seed", "1028399649")[0] == 0
+
+
 def test_eval_before_and_after_normalization(capsys):
     code, out, _ = run(capsys, "eval", "(x^4-1)/(x^2-1)", "--at", "1")
     assert code == 3

@@ -6,9 +6,10 @@ linear factors used by quasinormalization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microcas.polynomials import Poly, linear_part, poly_gcd, rational_roots
@@ -178,3 +179,212 @@ def test_str_rendering():
     assert str(Poly([1, 2, 1])) == "x^2 + 2*x + 1"
     assert str(Poly([0, 1])) == "x"
     assert str(Poly([Fraction(1, 2)])) == "1/2"
+
+
+# -- the integer kernel against a Fraction reference ----------------------
+#
+# The reference below works on tuples of Fractions (ascending, no
+# trailing zeros), the representation the kernel had before it moved to
+# integer numerators over a common denominator.
+
+F = Fraction
+
+
+def ref(cs) -> tuple[Fraction, ...]:
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref(out)
+
+
+def ref_divmod(a, b):
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, d in enumerate(b):
+            r[i + k] -= c * d
+        r = list(ref(r))
+    return ref(q), ref(r)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_gcd(a, b):
+    if len(a) == 1 or len(b) == 1:
+        return (F(1),)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_eval(a, x):
+    return sum((c * x**i for i, c in enumerate(a)), F(0))
+
+
+def assert_form(p: Poly) -> None:
+    """The stored form: integer numerator without trailing zeros over a
+    positive denominator coprime to the numerator's content."""
+    num, den = p._num, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int for c in num)
+    assert not num or num[-1] != 0
+    g = den
+    for c in num:
+        g = gcd(g, c)
+    assert g == 1
+    assert p.coeffs == tuple(F(c, den) for c in num)
+
+
+def build(cs) -> Poly:
+    p = Poly(cs)
+    assert_form(p)
+    assert p.coeffs == ref(cs)
+    return p
+
+
+big = st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**80))
+small = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=6)
+coefficient = st.one_of(small, big, st.integers(-3, 3))
+ref_coeffs = st.lists(coefficient, max_size=6).map(ref)
+ref_nonzero = ref_coeffs.filter(bool)
+# A negative leading coefficient and a constant, explicitly.
+NEG_LEAD = (F(3, 7), F(-2), F(-5, 3))
+CONST = (F(-7, 2**70),)
+
+
+@given(ref_coeffs, ref_coeffs)
+@example(NEG_LEAD, CONST)
+@example((), NEG_LEAD)
+def test_add_sub_mul_match_reference(a, b):
+    p, q = build(a), build(b)
+    for got, want in (
+        (p + q, ref_add(a, b)),
+        (p - q, ref_add(a, tuple(-c for c in b))),
+        (-p, tuple(-c for c in a)),
+        (p * q, ref_mul(a, b)),
+    ):
+        assert_form(got)
+        assert got.coeffs == want
+
+
+@given(ref_coeffs, ref_nonzero)
+@example(NEG_LEAD, NEG_LEAD[:2])
+@example(NEG_LEAD, CONST)
+@example(CONST, NEG_LEAD)
+def test_divmod_matches_reference(a, b):
+    q, r = divmod(build(a), build(b))
+    assert_form(q)
+    assert_form(r)
+    assert (q.coeffs, r.coeffs) == ref_divmod(a, b)
+
+
+@given(ref_coeffs, ref_coeffs)
+@settings(max_examples=150)
+@example(NEG_LEAD, CONST)
+@example(NEG_LEAD, ())
+def test_gcd_matches_reference(a, b):
+    if not a and not b:
+        return
+    g = poly_gcd(build(a), build(b))
+    assert_form(g)
+    assert g.coeffs == ref_gcd(a, b)
+
+
+@given(ref_nonzero, ref_nonzero, ref_nonzero)
+@settings(max_examples=60)
+def test_gcd_of_planted_common_factor_matches_reference(a, b, d):
+    g = poly_gcd(build(a) * build(d), build(b) * build(d))
+    assert_form(g)
+    assert g.coeffs == ref_gcd(ref_mul(a, d), ref_mul(b, d))
+
+
+@given(ref_nonzero, coefficient)
+@example(NEG_LEAD, F(-1, 3))
+@example(CONST, F(0))
+def test_monic_scale_derivative_match_reference(a, c):
+    p = build(a)
+    for got, want in (
+        (p.monic(), ref_monic(a)),
+        (p.scale(c), ref(x * F(c) for x in a)),
+        (p.derivative(), ref(k * x for k, x in enumerate(a) if k)),
+    ):
+        assert_form(got)
+        assert got.coeffs == want
+    assert p.leading == a[-1]
+
+
+@given(ref_coeffs, coefficient)
+@example(NEG_LEAD, F(-5, 3))
+@example((), F(1, 2))
+def test_eval_at_matches_reference(a, x):
+    assert build(a).eval_at(x) == ref_eval(a, F(x))
+
+
+def brute_roots(a) -> list[tuple[Fraction, int]]:
+    """Rational roots of an integer polynomial by trying every p/q with
+    |p| at most the largest coefficient and q at most the leading one."""
+    roots = []
+    top = max(abs(int(c)) for c in a)
+    for p in range(-top, top + 1):
+        for q in range(1, abs(int(a[-1])) + 1):
+            r = F(p, q)
+            if gcd(p, q) != 1 or ref_eval(a, r) != 0:
+                continue
+            m, work = 0, a
+            while True:
+                quo, rem = ref_divmod(work, (-r, F(1)))
+                if rem:
+                    break
+                m, work = m + 1, quo
+            roots.append((r, m))
+    return sorted(roots)
+
+
+@given(st.lists(st.integers(-12, 12), min_size=2, max_size=5).map(ref).filter(lambda a: len(a) >= 2))
+@settings(max_examples=150)
+@example((F(-6), F(1), F(-1)))
+def test_rational_roots_match_brute_force(a):
+    assert rational_roots(build(a)) == brute_roots(a)
+
+
+@given(
+    st.lists(st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5), max_size=5),
+    st.sampled_from([(F(1),), (F(2), F(0), F(1)), (F(-3), F(0), F(0), F(1))]),
+    st.one_of(st.integers(-(2**70), 2**70), big).filter(bool),
+)
+@settings(max_examples=80)
+def test_rational_roots_and_linear_part_of_planted_product(rs, cofactor, lead):
+    # lead * prod(x - r) * cofactor, where the cofactor (1, x^2 + 2 or
+    # x^3 - 3) has no rational root.
+    a = (F(lead),)
+    lin = (F(1),)
+    for r in rs:
+        a = ref_mul(a, (-r, F(1)))
+        lin = ref_mul(lin, (-r, F(1)))
+    a = ref_mul(a, cofactor)
+    want: dict[Fraction, int] = {}
+    for r in rs:
+        want[r] = want.get(r, 0) + 1
+    p = build(a)
+    assert rational_roots(p) == sorted(want.items())
+    lp = linear_part(p)
+    assert_form(lp)
+    assert lp.coeffs == lin
