@@ -6,8 +6,13 @@ counterexample).
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from microcas import harness
 from microcas.cli import build_parser, main
@@ -220,3 +225,25 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[1, [[2, 2], [3, 1]]]"
+
+
+def _readme_examples() -> list[tuple[str, list[str], int]]:
+    """(command, expected stdout lines, exit code) for every `$ microcas`
+    line in the README's text blocks; a trailing `# exit code N` comment
+    gives the code, and any trailing comment is not output."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", readme, re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if not chunk.startswith("$ microcas "):
+                continue
+            command, *lines = chunk.rstrip("\n").split("\n")
+            code = re.search(r"# exit code (\d+)", chunk)
+            out = [re.sub(r"\s+# .*$", "", line) for line in lines]
+            examples.append((command[2:], out, int(code.group(1)) if code else 0))
+    return examples
+
+
+@pytest.mark.parametrize("command, out, code", [pytest.param(*ex, id=ex[0]) for ex in _readme_examples()])
+def test_readme_example(command, out, code, capsys):
+    assert run(capsys, *shlex.split(command)[1:])[:2] == (code, "\n".join(out) + "\n")
