@@ -58,6 +58,10 @@ SIN_R: Const = register_constant("sin", _R1)
 COS_R: Const = register_constant("cos", _R1)
 TAN_R: Const = register_constant("tan", _R1)
 
+# the concrete names of the unary operators, read by the parser and,
+# inverted, by the printer
+FUNCTIONS = {"sin": SIN_R, "cos": COS_R, "tan": TAN_R, "exp": EXP_R, "ln": LN_R, "inv": INV_R}
+
 X_R = Var("x", REAL)
 
 

@@ -25,6 +25,10 @@ apart:
 every inverse node has a concrete spelling; exponents may carry a
 minus sign, and in diffexpr a parenthesized fraction: x^-2, x^(1/2).
 
+Each language is one table of tree builders, and the grammar is read
+by one operator-precedence loop on two explicit stacks (Dijkstra's
+shunting-yard), so nesting depth is bounded by memory only.
+
 Syntax problems raise ParseError with line and column.  Text that
 parses but steps outside the requested language (sin in a ratexpr,
 division of integers) raises PredicateViolation, a ParseError subtype.
@@ -33,9 +37,8 @@ division of integers) raises PredicateViolation, a ParseError subtype.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .terms import App, IntLit, Lambda, RAT, RatLit, SynTerm
 from . import factoring as fx
@@ -59,8 +62,7 @@ class PredicateViolation(ParseError):
     """Well-formed text whose tree falls outside the requested language."""
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num", "ident", "op", "eof"
     text: str
     line: int
@@ -71,8 +73,8 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<num>\d+(?:\.\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<arrow>->)
-      | (?P<op>[-+*/^()])
+      | (?P<op>->|[-+*/^()])
+      | (?P<stray>.)
     """,
     re.VERBOSE,
 )
@@ -80,255 +82,221 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"stray character {src[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup == "num":
-            tokens.append(_Token("num", text, line, col))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", text, line, col))
-        elif m.lastgroup in ("op", "arrow"):
-            tokens.append(_Token("op", text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in text:
+                line += text.count("\n")
+                start = m.start() + text.rfind("\n") + 1
+        elif kind == "stray":
+            raise ParseError(f"stray character {text!r}", line, m.start() - start + 1)
         else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append(_Token(kind, text, line, m.start() - start + 1))
+    tokens.append(_Token("eof", "", line, len(src) - start + 1))
     return tokens
 
 
-_DIFF_FUNS = {
-    "sin": dr.SIN_R,
-    "cos": dr.COS_R,
-    "tan": dr.TAN_R,
-    "exp": dr.EXP_R,
-    "ln": dr.LN_R,
-    "inv": dr.INV_R,
+def _error(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, tok.line, tok.col)
+
+
+def literal_value(t: SynTerm) -> Optional[Fraction]:
+    """The value of a literal of any of the languages, else None."""
+    if isinstance(t, IntLit):
+        return Fraction(t.value)
+    if isinstance(t, RatLit):
+        return t.value
+    return dr.lit_value(t)
+
+
+# ---------------------------------------------------------------------------
+# the languages' tree builders
+
+
+class _Syntax(NamedTuple):
+    """How one language builds each construct.  An entry is a builder,
+    or the message of the PredicateViolation raised at the construct's
+    token, with {} standing for the token's text."""
+
+    binary: dict  # '+', '-', '*', '/' -> builder(left, right)
+    neg: Callable  # prefix minus
+    power: Callable  # builder(base, exponent as a Fraction)
+    integer: Callable  # builder(value) of a numeral with an integer value
+    fraction: Callable  # builder(value) of a numeral like 1.5
+    x: Callable  # builder() of the variable
+    calls: dict  # function name -> builder(argument)
+    other_call: Optional[str]  # entry for every other name; None: unknown
+    fraction_exponents: bool  # x^(1/2)
+
+
+def _quotient(lit: Callable, div: Callable) -> Callable:
+    """'/' that folds two literals into one, unless the divisor is zero:
+    "1/0" stays a division."""
+
+    def make(a: SynTerm, b: SynTerm) -> SynTerm:
+        va, vb = literal_value(a), literal_value(b)
+        return lit(va / vb) if va is not None and vb else div(a, b)
+
+    return make
+
+
+_RATEXPR = _Syntax(
+    binary={"+": rq.q_add, "-": rq.q_sub, "*": rq.q_mul, "/": _quotient(rq.q_lit, rq.q_div)},
+    neg=rq.q_neg,
+    power=lambda a, n: rq.q_pow(a, int(n)),
+    integer=rq.q_lit,
+    fraction=rq.q_lit,
+    x=lambda: rq.X_Q,
+    calls=dict.fromkeys(dr.FUNCTIONS, "{} is not part of the rational-expression language")
+    | {"inv": rq.q_inv},
+    other_call=None,
+    fraction_exponents=False,
+)
+
+_SYNTAX = {
+    "int": _Syntax(
+        binary={
+            "+": fx.i_add,
+            "-": lambda a, b: fx.i_add(a, fx.i_neg(b)),
+            "*": fx.i_mul,
+            "/": "the integer language has no division",
+        },
+        neg=fx.i_neg,
+        power=lambda a, n: fx.i_pow(a, IntLit(int(n))),
+        integer=lambda v: IntLit(int(v)),
+        fraction="integer literal expected",
+        x="the integer language has no variable",
+        calls={},
+        other_call="{} is not part of the integer language",
+        fraction_exponents=False,
+    ),
+    "ratexpr": _RATEXPR,
+    "ratfun": _RATEXPR,
+    "diffexpr": _Syntax(
+        binary={"+": dr.r_add, "-": dr.r_sub, "*": dr.r_mul, "/": _quotient(dr.r_lit, dr.r_div)},
+        neg=dr.r_neg,
+        power=lambda a, c: dr.r_pow(a, dr.r_lit(c)),
+        integer=dr.r_lit,
+        fraction=dr.r_lit,
+        x=lambda: dr.X_R,
+        calls={name: (lambda u, op=op: App(op, u)) for name, op in dr.FUNCTIONS.items()},
+        other_call=None,
+        fraction_exponents=True,
+    ),
 }
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], lang: str):
-        self.tokens = tokens
-        self.lang = lang
-        self.i = 0
+def _make(make, tok: _Token, *args) -> SynTerm:
+    if isinstance(make, str):
+        raise PredicateViolation(make.format(tok.text), tok.line, tok.col)
+    return make(*args)
 
-    # -- token plumbing ----------------------------------------------
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+# ---------------------------------------------------------------------------
+# the grammar
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.i += 1
-        return tok
+_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}
+_PREFIX = 3  # prefix minus: tighter than '*', looser than '^'
 
-    def accept(self, text: str) -> Optional[_Token]:
-        if self.cur.kind == "op" and self.cur.text == text:
-            return self.advance()
-        return None
 
-    def expect(self, text: str) -> _Token:
-        tok = self.accept(text)
-        if tok is None:
-            raise ParseError(f"expected {text!r}", self.cur.line, self.cur.col)
-        return tok
+def _expression(toks: list[_Token], i: int, syn: _Syntax) -> SynTerm:
+    """The expression from toks[i] to the end of the input.
 
-    def fail(self, message: str, tok: Optional[_Token] = None) -> ParseError:
-        tok = tok or self.cur
-        return ParseError(message, tok.line, tok.col)
-
-    def violation(self, message: str, tok: _Token) -> PredicateViolation:
-        return PredicateViolation(message, tok.line, tok.col)
-
-    # -- grammar -----------------------------------------------------
-
-    def parse_expr(self) -> SynTerm:
-        left = self.parse_term()
-        while True:
-            tok = self.accept("+") or self.accept("-")
-            if tok is None:
-                return left
-            right = self.parse_term()
-            if tok.text == "+":
-                left = self.make_add(left, right)
-            else:
-                left = self.make_sub(left, right)
-
-    def parse_term(self) -> SynTerm:
-        left = self.parse_unary()
-        while True:
-            tok = self.accept("*") or self.accept("/")
-            if tok is None:
-                return left
-            right = self.parse_unary()
-            if tok.text == "*":
-                left = self.make_mul(left, right)
-            else:
-                left = self.make_div(left, right, tok)
-
-    def parse_unary(self) -> SynTerm:
-        tok = self.accept("-")
-        if tok is not None:
-            return self.make_neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> SynTerm:
-        base = self.parse_atom()
-        tok = self.accept("^")
-        if tok is None:
-            return base
-        return self.make_pow(base, self.parse_exponent(), tok)
-
-    def parse_exponent(self) -> Fraction:
-        """A signed integer, or (diffexpr only) a parenthesized signed
-        fraction: 3, -2, (1/2), (-3/2)."""
-        if self.cur.kind == "op" and self.cur.text == "(":
-            if self.lang != "diffexpr":
-                raise self.fail("exponent must be an integer")
-            self.advance()
-            value = self.signed_number(allow_fraction=True)
-            self.expect(")")
-            return value
-        return self.signed_number(allow_fraction=False)
-
-    def signed_number(self, allow_fraction: bool) -> Fraction:
-        sign = -1 if self.accept("-") else 1
-        tok = self.advance()
-        if tok.kind != "num" or "." in tok.text:
-            raise self.fail("expected an integer", tok)
-        value = Fraction(int(tok.text))
-        if allow_fraction and self.accept("/"):
-            den_tok = self.advance()
-            if den_tok.kind != "num" or "." in den_tok.text:
-                raise self.fail("expected an integer denominator", den_tok)
-            den = int(den_tok.text)
-            if den == 0:
-                raise self.fail("zero denominator in exponent", den_tok)
-            value /= den
-        return sign * value
-
-    def parse_atom(self) -> SynTerm:
-        tok = self.advance()
+    ``terms`` holds finished operands.  ``pending`` holds operators
+    waiting for their right operand as (level, builder, token), and open
+    groups as (0, the call's name token or None, '(' token).  An operator
+    is applied once the next token binds no tighter, so everything before
+    a token has been built when the token is found to be out of place.
+    """
+    terms: list[SynTerm] = []
+    pending: list[tuple] = []
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok.text == "-":
+            pending.append((_PREFIX, syn.neg, tok))
+            continue
+        if tok.text == "(":
+            pending.append((0, None, tok))
+            continue
         if tok.kind == "num":
-            return self.make_number(tok)
-        if tok.kind == "ident":
-            if tok.text == "x":
-                return self.make_var(tok)
-            return self.parse_call(tok)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise self.fail("expected a number, name, or '('", tok)
+            value = Fraction(tok.text)
+            terms.append(_make(syn.integer if value.denominator == 1 else syn.fraction, tok, value))
+        elif tok.text == "x":
+            terms.append(_make(syn.x, tok))
+        elif tok.kind == "ident":
+            if toks[i].text != "(":
+                raise _error("expected '('", toks[i])
+            pending.append((0, tok, toks[i]))
+            i += 1
+            continue
+        else:
+            raise _error("expected a number, name, or '('", tok)
+        # after an operand: at most one '^', then operators and ')'
+        while True:
+            if toks[i].text == "^":
+                exponent, i = _exponent(toks, i + 1, syn.fraction_exponents)
+                terms[-1] = syn.power(terms[-1], exponent)
+            tok = toks[i]
+            i += 1
+            level = _LEVELS.get(tok.text, 1)
+            while pending and pending[-1][0] >= level:
+                op_level, make, op = pending.pop()
+                if op_level == _PREFIX:
+                    terms[-1] = _make(make, op, terms[-1])
+                else:
+                    b = terms.pop()
+                    terms[-1] = _make(make, op, terms[-1], b)
+            if tok.text in _LEVELS:
+                pending.append((level, syn.binary[tok.text], tok))
+                break
+            if tok.text == ")" and pending:
+                name = pending.pop()[1]
+                if name is not None:
+                    make = syn.calls.get(name.text, syn.other_call)
+                    if make is None:
+                        raise _error(f"unknown function {name.text!r}", name)
+                    terms[-1] = _make(make, name, terms[-1])
+                continue
+            if pending:
+                raise _error("expected ')'", tok)
+            if tok.kind != "eof":
+                raise _error(f"unexpected {tok.text!r}", tok)
+            return terms[0]
 
-    def parse_call(self, name: _Token) -> SynTerm:
-        self.expect("(")
-        arg = self.parse_expr()
-        self.expect(")")
-        if self.lang == "diffexpr":
-            op = _DIFF_FUNS.get(name.text)
-            if op is None:
-                raise self.fail(f"unknown function {name.text!r}", name)
-            return App(op, arg)
-        if self.lang in ("ratexpr", "ratfun"):
-            if name.text == "inv":
-                return rq.q_inv(arg)
-            if name.text in _DIFF_FUNS:
-                raise self.violation(
-                    f"{name.text} is not part of the rational-expression language",
-                    name,
-                )
-            raise self.fail(f"unknown function {name.text!r}", name)
-        raise self.violation(
-            f"{name.text} is not part of the integer language", name
-        )
 
-    # -- language-directed construction ------------------------------
-
-    def make_number(self, tok: _Token) -> SynTerm:
-        value = Fraction(tok.text)
-        if self.lang == "int":
-            if value.denominator != 1:
-                raise self.violation("integer literal expected", tok)
-            return IntLit(int(value))
-        if self.lang == "diffexpr":
-            return dr.r_lit(value)
-        return rq.q_lit(value)
-
-    def make_var(self, tok: _Token) -> SynTerm:
-        if self.lang == "int":
-            raise self.violation("the integer language has no variable", tok)
-        if self.lang == "diffexpr":
-            return dr.X_R
-        return rq.X_Q
-
-    def make_add(self, a: SynTerm, b: SynTerm) -> SynTerm:
-        if self.lang == "int":
-            return fx.i_add(a, b)
-        if self.lang == "diffexpr":
-            return dr.r_add(a, b)
-        return rq.q_add(a, b)
-
-    def make_sub(self, a: SynTerm, b: SynTerm) -> SynTerm:
-        if self.lang == "int":
-            return fx.i_add(a, fx.i_neg(b))
-        if self.lang == "diffexpr":
-            return dr.r_sub(a, b)
-        return rq.q_sub(a, b)
-
-    def make_mul(self, a: SynTerm, b: SynTerm) -> SynTerm:
-        if self.lang == "int":
-            return fx.i_mul(a, b)
-        if self.lang == "diffexpr":
-            return dr.r_mul(a, b)
-        return rq.q_mul(a, b)
-
-    def make_div(self, a: SynTerm, b: SynTerm, tok: _Token) -> SynTerm:
-        if self.lang == "int":
-            raise self.violation(
-                "the integer language has no division", tok
-            )
-        if self.lang == "diffexpr":
-            fold = self.fold_literal_quotient(a, b)
-            return fold if fold is not None else dr.r_div(a, b)
-        fold = self.fold_literal_quotient(a, b)
-        return fold if fold is not None else rq.q_div(a, b)
-
-    def fold_literal_quotient(self, a: SynTerm, b: SynTerm) -> Optional[SynTerm]:
-        """Two literals under '/' denote one rational number, provided
-        the denominator is not zero; "1/0" stays a real division."""
-        if self.lang == "diffexpr":
-            va, vb = dr.lit_value(a), dr.lit_value(b)
-            if va is not None and vb is not None and vb != 0:
-                return dr.r_lit(va / vb)
-            return None
-        if isinstance(a, RatLit) and isinstance(b, RatLit) and b.value != 0:
-            return rq.q_lit(a.value / b.value)
-        return None
-
-    def make_neg(self, a: SynTerm) -> SynTerm:
-        if self.lang == "int":
-            return fx.i_neg(a)
-        if self.lang == "diffexpr":
-            return dr.r_neg(a)
-        return rq.q_neg(a)
-
-    def make_pow(self, base: SynTerm, exponent: Fraction, tok: _Token) -> SynTerm:
-        if self.lang == "diffexpr":
-            return dr.r_pow(base, dr.r_lit(exponent))
-        assert exponent.denominator == 1
-        if self.lang == "int":
-            return fx.i_pow(base, IntLit(int(exponent)))
-        return rq.q_pow(base, int(exponent))
+def _exponent(toks: list[_Token], i: int, fractions: bool) -> tuple[Fraction, int]:
+    """The exponent from toks[i] and the index after it: a signed
+    integer or, with ``fractions``, a parenthesized signed fraction:
+    3, -2, (1/2), (-3/2)."""
+    paren = toks[i].text == "("
+    if paren:
+        if not fractions:
+            raise _error("exponent must be an integer", toks[i])
+        i += 1
+    sign = 1
+    if toks[i].text == "-":
+        sign = -1
+        i += 1
+    tok = toks[i]
+    i += 1
+    if tok.kind != "num" or "." in tok.text:
+        raise _error("expected an integer", tok)
+    value = Fraction(int(tok.text))
+    if paren:
+        if toks[i].text == "/":
+            den = toks[i + 1]
+            i += 2
+            if den.kind != "num" or "." in den.text:
+                raise _error("expected an integer denominator", den)
+            if int(den.text) == 0:
+                raise _error("zero denominator in exponent", den)
+            value /= int(den.text)
+        if toks[i].text != ")":
+            raise _error("expected ')'", toks[i])
+        i += 1
+    return sign * value, i
 
 
 def parse(src: str, lang: str) -> SynTerm:
@@ -339,23 +307,15 @@ def parse(src: str, lang: str) -> SynTerm:
     """
     if lang not in LANGS:
         raise ValueError(f"unknown language {lang!r}")
-    tokens = _tokenize(src)
-    p = _Parser(tokens, "ratexpr" if lang == "ratfun" else lang)
-
-    if lang == "ratfun":
-        head = p.advance()
-        if head.kind != "ident" or head.text != "fun":
-            raise ParseError("a function starts with 'fun'", head.line, head.col)
-        var = p.advance()
-        if var.kind != "ident" or var.text != "x":
-            raise ParseError("the bound variable must be x", var.line, var.col)
-        if p.advance().text != "->":
-            raise ParseError("expected '->'", var.line, var.col + len(var.text))
-        term: SynTerm = Lambda("x", RAT, p.parse_expr())
-    else:
-        term = p.parse_expr()
-
-    end = p.cur
-    if end.kind != "eof":
-        raise ParseError(f"unexpected {end.text!r}", end.line, end.col)
-    return term
+    toks = _tokenize(src)
+    syn = _SYNTAX[lang]
+    if lang != "ratfun":
+        return _expression(toks, 0, syn)
+    if toks[0].text != "fun":
+        raise _error("a function starts with 'fun'", toks[0])
+    var = toks[1]
+    if var.text != "x":
+        raise _error("the bound variable must be x", var)
+    if toks[2].text != "->":
+        raise ParseError("expected '->'", var.line, var.col + len(var.text))
+    return Lambda("x", RAT, _expression(toks, 3, syn))

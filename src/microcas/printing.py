@@ -23,13 +23,19 @@ generators never produce them.
 
 to_sexpr and to_json are total on syntax trees and keep every node;
 both are stable serializations intended for tooling, not reparsing.
+
+All three are one driver, ``_write``, over a layout per format: a
+node's layout is the precedence level its text parses at and a list
+of pieces, each a string or a (subterm, level) slot.  The driver
+expands slots top-down on an explicit stack and parenthesizes a
+subterm whose level is below its slot's, so depth is bounded by memory
+only.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .terms import (
     RAT,
@@ -43,9 +49,11 @@ from .terms import (
     SynTerm,
     Var,
     match_binary,
-    match_unary,
+    op_entry,
+    op_table,
     type_name,
 )
+from .parser import literal_value
 from . import factoring as fx
 from . import rational as rq
 from . import differentiation as dr
@@ -56,13 +64,28 @@ _UNARY = 3
 _TERM = 2
 _EXPR = 1
 
-_FUN_NAMES = {
-    dr.EXP_R: "exp",
-    dr.LN_R: "ln",
-    dr.SIN_R: "sin",
-    dr.COS_R: "cos",
-    dr.TAN_R: "tan",
-}
+Layout = tuple[int, list]
+
+
+def _write(layout: Callable[[SynTerm], Layout], pieces: list) -> str:
+    out: list[str] = []
+    todo = pieces[::-1]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        have, parts = layout(node)
+        if have < level:
+            todo += (")", *parts[::-1], "(")
+        else:
+            todo += parts[::-1]
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# infix
 
 
 def to_infix(t: SynTerm) -> str:
@@ -74,160 +97,136 @@ def to_infix(t: SynTerm) -> str:
     if isinstance(t, Lambda):
         if t.var != "x":
             raise ValueError("only functions of x have an infix form")
-        body, _ = _render(t.body)
-        return f"fun {t.var} -> {body}"
-    text, _ = _render(t)
-    return text
+        return _write(_infix, ["fun x -> ", (t.body, 0)])
+    return _write(_infix, [(t, 0)])
 
 
-def _render(t: SynTerm) -> tuple[str, int]:
-    """Text plus the precedence level the text parses at."""
-    if isinstance(t, IntLit):
-        return _render_numeric(Fraction(t.value))
-    if isinstance(t, RatLit):
-        return _render_numeric(t.value)
+def _infix(t: SynTerm) -> Layout:
+    if type(t) is App:
+        f = t.fun
+        if type(f) is App:
+            make = op_entry(_INFIX_BINARY, f.fun)
+            if make is not None:
+                return make(f.arg, t.arg)
+        else:
+            make = op_entry(_INFIX_UNARY, f)
+            if make is not None:
+                return make(t.arg)
+        raise ValueError(f"no infix form for {t!r}")
+    v = literal_value(t)
+    if v is not None:
+        if v.denominator != 1:
+            return _TERM, [str(v)]
+        return (_ATOM if v >= 0 else _UNARY), [str(v)]
     if isinstance(t, Var):
         # Only the distinguished variable of the two expression languages
         # has a concrete spelling the parser will read back.
         if t.name == "x" and t.ty in (RAT, REAL):
-            return t.name, _ATOM
+            return _ATOM, ["x"]
         raise ValueError(f"no infix form for the variable {t.name!r}")
     if isinstance(t, Const):
-        v = dr.lit_value(t)
-        if v is not None:
-            return _render_numeric(v)
         raise ValueError(f"no infix form for a bare operator {t.symbol!r}")
     if isinstance(t, (Lambda, Quote)):
         raise ValueError("no infix form inside an expression")
-    return _render_app(t)
-
-
-def _render_numeric(v: Fraction) -> tuple[str, int]:
-    if v.denominator == 1:
-        return str(v), _ATOM if v >= 0 else _UNARY
-    return str(v), _TERM
-
-
-def _at(t: SynTerm, level: int) -> str:
-    text, have = _render(t)
-    return f"({text})" if have < level else text
-
-
-def _render_app(t: SynTerm) -> tuple[str, int]:
-    for add_op, neg_op in ((fx.ADD_I, fx.NEG_I), (rq.ADD_Q, rq.NEG_Q)):
-        parts = match_binary(t, add_op)
-        if parts is not None:
-            a, b = parts
-            sub = match_unary(b, neg_op)
-            if sub is not None:
-                return f"{_at(a, _EXPR)} - {_at(sub, _TERM)}", _EXPR
-            return f"{_at(a, _EXPR)} + {_at(b, _TERM)}", _EXPR
-
-    parts = match_binary(t, dr.ADD_R)
-    if parts is not None:
-        return f"{_at(parts[0], _EXPR)} + {_at(parts[1], _TERM)}", _EXPR
-    parts = match_binary(t, dr.SUB_R)
-    if parts is not None:
-        return f"{_at(parts[0], _EXPR)} - {_at(parts[1], _TERM)}", _EXPR
-
-    parts = match_binary(t, rq.MUL_Q)
-    if parts is not None:
-        chain = _as_power_chain(t)
-        if chain is not None:
-            base, n = chain
-            return f"{_at(base, _ATOM)}^{n}", _POWER
-        return _render_product(t, parts, rq.INV_Q)
-    parts = match_binary(t, fx.MUL_I)
-    if parts is not None:
-        return _render_product(t, parts, None)
-    parts = match_binary(t, dr.MUL_R)
-    if parts is not None:
-        return _render_product(t, parts, dr.INV_R)
-
-    parts = match_binary(t, fx.POW_I)
-    if parts is not None:
-        return _render_power(parts[0], parts[1])
-    parts = match_binary(t, dr.POW_R)
-    if parts is not None:
-        return _render_power(parts[0], parts[1])
-
-    for neg_op in (fx.NEG_I, rq.NEG_Q, dr.NEG_R):
-        arg = match_unary(t, neg_op)
-        if arg is not None:
-            return f"-{_at(arg, _UNARY)}", _UNARY
-
-    arg = match_unary(t, rq.INV_Q)
-    if arg is not None:
-        chain = _as_power_chain(arg)
-        base, n = chain if chain is not None else (arg, 1)
-        return f"{_at(base, _ATOM)}^-{n}", _POWER
-
-    arg = match_unary(t, dr.INV_R)
-    if arg is not None:
-        return f"inv({to_infix(arg)})", _ATOM
-
-    for op, name in _FUN_NAMES.items():
-        arg = match_unary(t, op)
-        if arg is not None:
-            return f"{name}({to_infix(arg)})", _ATOM
-
     raise ValueError(f"no infix form for {t!r}")
 
 
-def _is_literal(t: SynTerm) -> bool:
-    return (
-        isinstance(t, (IntLit, RatLit))
-        or dr.lit_value(t) is not None
-    )
+def _operand(t: SynTerm, op: Const) -> Optional[SynTerm]:
+    """u if t is App(op, u), else None."""
+    if type(t) is App and (t.fun is op or t.fun == op):
+        return t.arg
+    return None
 
 
-def _literal_value(t: SynTerm) -> Optional[Fraction]:
-    if isinstance(t, IntLit):
-        return Fraction(t.value)
-    if isinstance(t, RatLit):
-        return t.value
-    return dr.lit_value(t)
+def _sum(neg: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
+    """a + b, or a - u for b = -u where the language spells '-' as sugar."""
+
+    def layout(a: SynTerm, b: SynTerm) -> Layout:
+        u = _operand(b, neg) if neg is not None else None
+        if u is not None:
+            return _EXPR, [(a, _EXPR), " - ", (u, _TERM)]
+        return _EXPR, [(a, _EXPR), " + ", (b, _TERM)]
+
+    return layout
 
 
-def _render_product(
-    t: SynTerm, parts: tuple[SynTerm, SynTerm], inv_op: Optional[Const]
-) -> tuple[str, int]:
-    a, b = parts
-    if inv_op is not None:
-        den = match_unary(b, inv_op)
-        if den is not None:
-            dv = _literal_value(den)
-            folds = _is_literal(a) and dv is not None and dv != 0
-            if not folds:
-                return f"{_at(a, _TERM)} / {_at(den, _UNARY)}", _TERM
-    return f"{_at(a, _TERM)} * {_at(b, _UNARY)}", _TERM
+def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
+    """a * b, or a / d for b = inv(d) unless both are literals that
+    "a / d" would fold into one."""
+
+    def layout(a: SynTerm, b: SynTerm) -> Layout:
+        d = _operand(b, inv) if inv is not None else None
+        if d is not None:
+            dv = literal_value(d)
+            if literal_value(a) is None or not dv:
+                return _TERM, [(a, _TERM), " / ", (d, _UNARY)]
+        return _TERM, [(a, _TERM), " * ", (b, _UNARY)]
+
+    return layout
 
 
-def _render_power(base: SynTerm, exponent: SynTerm) -> tuple[str, int]:
-    c = _literal_value(exponent)
+def _rat_product(a: SynTerm, b: SynTerm) -> Layout:
+    n = _as_power_chain(a, b)
+    if n is not None:
+        return _POWER, [(a, _ATOM), f"^{n}"]
+    return _rat_quotient(a, b)
+
+
+def _rat_inverse(u: SynTerm) -> Layout:
+    parts = match_binary(u, rq.MUL_Q)
+    n = _as_power_chain(*parts) if parts is not None else None
+    if n is None:
+        return _POWER, [(u, _ATOM), "^-1"]
+    return _POWER, [(parts[0], _ATOM), f"^-{n}"]
+
+
+def _power(base: SynTerm, exponent: SynTerm) -> Layout:
+    c = literal_value(exponent)
     if c is None:
         raise ValueError("no infix form for a power with a compound exponent")
-    if c.denominator == 1:
-        return f"{_at(base, _ATOM)}^{c}", _POWER
-    return f"{_at(base, _ATOM)}^({c})", _POWER
+    return _POWER, [(base, _ATOM), f"^{c}" if c.denominator == 1 else f"^({c})"]
 
 
-def _as_power_chain(t: SynTerm) -> Optional[tuple[SynTerm, int]]:
-    """Read t as base*(base*(...*base)) with at least two factors,
+def _negation(u: SynTerm) -> Layout:
+    return _UNARY, ["-", (u, _UNARY)]
+
+
+def _call(name: str) -> Callable[[SynTerm], Layout]:
+    return lambda u: (_ATOM, [f"{name}(", (u, 0), ")"])
+
+
+def _as_power_chain(base: SynTerm, rest: SynTerm) -> Optional[int]:
+    """The number of factors if base * rest is base*(base*(...*base)),
     the shape integer powers expand to in the rational language."""
-    parts = match_binary(t, rq.MUL_Q)
-    if parts is None:
-        return None
-    base, rest = parts
-    n = 1
+    n = 2
     while True:
         inner = match_binary(rest, rq.MUL_Q)
         if inner is None:
-            return (base, n + 1) if rest == base else None
-        if inner[0] != base:
+            return n if rest is base or rest == base else None
+        if not (inner[0] is base or inner[0] == base):
             return None
         rest = inner[1]
         n += 1
+
+
+_rat_quotient = _product(rq.INV_Q)
+
+
+_INFIX_BINARY = op_table({
+    fx.ADD_I: _sum(fx.NEG_I),
+    rq.ADD_Q: _sum(rq.NEG_Q),
+    dr.ADD_R: _sum(None),
+    dr.SUB_R: lambda a, b: (_EXPR, [(a, _EXPR), " - ", (b, _TERM)]),
+    fx.MUL_I: _product(None),
+    rq.MUL_Q: _rat_product,
+    dr.MUL_R: _product(dr.INV_R),
+    fx.POW_I: _power,
+    dr.POW_R: _power,
+})
+_INFIX_UNARY = op_table(
+    {fx.NEG_I: _negation, rq.NEG_Q: _negation, dr.NEG_R: _negation, rq.INV_Q: _rat_inverse}
+    | {op: _call(name) for name, op in dr.FUNCTIONS.items()}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -236,49 +235,51 @@ def _as_power_chain(t: SynTerm) -> Optional[tuple[SynTerm, int]]:
 
 def to_sexpr(t: SynTerm) -> str:
     """Fully parenthesized prefix form, one node per parenthesis pair."""
-    if isinstance(t, IntLit):
-        return f"(int {t.value})"
-    if isinstance(t, RatLit):
-        return f"(rat {t.value})"
-    if isinstance(t, Var):
-        return f"(var {t.name} {type_name(t.ty)})"
-    if isinstance(t, Const):
-        return f"(const {t.symbol} {type_name(t.ty)})"
-    if isinstance(t, App):
-        return f"(app {to_sexpr(t.fun)} {to_sexpr(t.arg)})"
-    if isinstance(t, Lambda):
-        return f"(lam {t.var} {type_name(t.var_ty)} {to_sexpr(t.body)})"
-    if isinstance(t, Quote):
-        return f"(quote {to_sexpr(t.term)})"
-    raise ValueError(f"not a syntax tree: {t!r}")
+    return _write(_sexpr, [(t, 0)])
 
 
-def _json_obj(t: SynTerm) -> dict:
-    if isinstance(t, IntLit):
-        return {"node": "int", "value": str(t.value)}
-    if isinstance(t, RatLit):
-        return {"node": "rat", "value": str(t.value)}
-    if isinstance(t, Var):
-        return {"node": "var", "name": t.name, "type": type_name(t.ty)}
-    if isinstance(t, Const):
-        return {"node": "const", "symbol": t.symbol, "type": type_name(t.ty)}
+def _sexpr(t: SynTerm) -> Layout:
     if isinstance(t, App):
-        return {"node": "app", "fun": _json_obj(t.fun), "arg": _json_obj(t.arg)}
+        return 0, ["(app ", (t.fun, 0), " ", (t.arg, 0), ")"]
+    if isinstance(t, IntLit):
+        return 0, [f"(int {t.value})"]
+    if isinstance(t, RatLit):
+        return 0, [f"(rat {t.value})"]
+    if isinstance(t, Var):
+        return 0, [f"(var {t.name} {type_name(t.ty)})"]
+    if isinstance(t, Const):
+        return 0, [f"(const {t.symbol} {type_name(t.ty)})"]
     if isinstance(t, Lambda):
-        return {
-            "node": "lam",
-            "var": t.var,
-            "var_type": type_name(t.var_ty),
-            "body": _json_obj(t.body),
-        }
+        return 0, [f"(lam {t.var} {type_name(t.var_ty)} ", (t.body, 0), ")"]
     if isinstance(t, Quote):
-        return {"node": "quote", "term": _json_obj(t.term)}
+        return 0, ["(quote ", (t.term, 0), ")"]
     raise ValueError(f"not a syntax tree: {t!r}")
 
 
 def to_json(t: SynTerm) -> str:
-    """One-line JSON with node kinds and literal values as strings."""
-    return json.dumps(_json_obj(t), sort_keys=True)
+    """One-line JSON with node kinds and literal values as strings,
+    keys sorted."""
+    return _write(_json, [(t, 0)])
+
+
+def _json(t: SynTerm) -> Layout:
+    s = json.dumps
+    if isinstance(t, App):
+        return 0, ['{"arg": ', (t.arg, 0), ', "fun": ', (t.fun, 0), ', "node": "app"}']
+    if isinstance(t, IntLit):
+        return 0, [f'{{"node": "int", "value": {s(str(t.value))}}}']
+    if isinstance(t, RatLit):
+        return 0, [f'{{"node": "rat", "value": {s(str(t.value))}}}']
+    if isinstance(t, Var):
+        return 0, [f'{{"name": {s(t.name)}, "node": "var", "type": {s(type_name(t.ty))}}}']
+    if isinstance(t, Const):
+        return 0, [f'{{"node": "const", "symbol": {s(t.symbol)}, "type": {s(type_name(t.ty))}}}']
+    if isinstance(t, Lambda):
+        tail = f', "node": "lam", "var": {s(t.var)}, "var_type": {s(type_name(t.var_ty))}}}'
+        return 0, ['{"body": ', (t.body, 0), tail]
+    if isinstance(t, Quote):
+        return 0, ['{"node": "quote", "term": ', (t.term, 0), "}"]
+    raise ValueError(f"not a syntax tree: {t!r}")
 
 
 FORMATS = ("infix", "sexpr", "json")

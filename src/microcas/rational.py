@@ -463,13 +463,13 @@ def singular_points(t: SynTerm) -> list[Fraction]:
     sorted; empty when its value does not exist (undefined everywhere,
     so there is nothing to single out)."""
     fl = flatten_raw(t)
-    if fl is None:
-        return []
-    sings: set[Fraction] = set()
-    for n in fl[2]:
-        for r, _ in rational_roots(n):
-            sings.add(r)
-    return sorted(sings)
+    return [] if fl is None else _roots_of(fl[2])
+
+
+def _roots_of(inv_nums: list[Poly]) -> list[Fraction]:
+    """The rational roots of the flattened numerators of the inverted
+    subterms, sorted: the points where the expression is undefined."""
+    return sorted({r for n in inv_nums for r, _ in rational_roots(n)})
 
 
 def quasinorm_rat_expr(t: SynTerm) -> SynTerm:
@@ -487,11 +487,7 @@ def quasinorm_rat_expr(t: SynTerm) -> SynTerm:
     num, den = num // stripped, den // stripped
     lead = den.leading
     num, den = num.scale(1 / lead), den.scale(1 / lead)
-    sings: set[Fraction] = set()
-    for n in inv_nums:
-        for r, _ in rational_roots(n):
-            sings.add(r)
-    for a in sorted(sings):
+    for a in _roots_of(inv_nums):
         if den.eval_at(a) != 0:
             factor = Poly([-a, 1])
             num, den = num * factor, den * factor

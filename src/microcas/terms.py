@@ -280,9 +280,14 @@ def op_table(ops: dict[Const, Callable]) -> dict[int, Callable]:
     return {id(c): f for c, f in ops.items()}
 
 
-def _registered(c: SynTerm) -> SynTerm:
-    """The registered node equal to c, or c itself."""
-    return _CONSTANTS.get((c.symbol, c.ty), c) if type(c) is Const else c
+def op_entry(table: dict[int, Callable], c: SynTerm) -> Optional[Callable]:
+    """The entry of operator node c in an ``op_table`` table, or None.
+    A node equal to a registered one but not the same object (a copy)
+    is looked up through the registry."""
+    entry = table.get(id(c))
+    if entry is None and type(c) is Const:
+        entry = table.get(id(_CONSTANTS.get((c.symbol, c.ty))))
+    return entry
 
 
 _UNARY_STEP = object()  # on fold's work stack, above the operator to apply
@@ -298,8 +303,7 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
     makes its node None without calling the operator.  Operands are
     visited left to right, on an explicit stack, so term depth is bounded
     by memory only.  ``leaf`` may raise NotInLanguage.  The tables come
-    from ``op_table``; an operator node equal to a registered one but not
-    the same object is matched through the registry.
+    from ``op_table``; a miss by identity goes to ``op_entry``.
     """
     vals: list = []
     todo: list = [t]
@@ -309,12 +313,12 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
         if type(node) is App:
             f = node.fun
             if type(f) is App:
-                op = binary.get(id(f.fun)) or binary.get(id(_registered(f.fun)))
+                op = binary.get(id(f.fun)) or op_entry(binary, f.fun)
                 if op is not None:
                     todo += (op, _BINARY_STEP, node.arg, f.arg)
                     continue
             else:
-                op = unary.get(id(f)) or unary.get(id(_registered(f)))
+                op = unary.get(id(f)) or op_entry(unary, f)
                 if op is not None:
                     todo += (op, _UNARY_STEP, node.arg)
                     continue

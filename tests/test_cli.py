@@ -160,6 +160,13 @@ def test_deep_sum_norm_and_eval(capsys):
     assert out.strip() == "2998"
 
 
+def test_deeply_nested_input(capsys):
+    assert run(capsys, "norm-expr", "(" * 3000 + "x" + ")" * 3000)[:2] == (0, "x\n")
+    code, out, _ = run(capsys, "domain", "sin(" * 3000 + "x" + ")" * 3000, "--lo", "0", "--hi", "1", "--n", "3")
+    assert code == 0
+    assert out.splitlines() == ["x = 0: defined", "x = 0.5: defined", "x = 1: defined"]
+
+
 def test_domain_literal_too_large_for_a_float(capsys):
     code, out, _ = run(capsys, "domain", "x + 1" + "0" * 400, "--n", "5")
     assert code == 0

@@ -249,3 +249,32 @@ def test_whitespace_and_nesting_insensitivity():
     b = parse("  x   +   1 ", "ratexpr")
     c = parse("((x) + (1))", "ratexpr")
     assert a == b == c
+
+
+# -- depth -------------------------------------------------------------------
+
+
+def _deep_inputs(n: int = 3000):
+    for lang, leaf, calls in (
+        ("int", "1", ()),
+        ("ratexpr", "x", ("inv",)),
+        ("ratfun", "x", ("inv",)),
+        ("diffexpr", "x", ("sin", "inv")),
+    ):
+        head = "fun x -> " if lang == "ratfun" else ""
+        srcs = {
+            "parens": "(" * n + leaf + ")" * n,
+            "minus": "-" * n + leaf,
+            "sum": " + ".join([leaf] * n),
+        } | {name: f"{name}(" * n + leaf + ")" * n for name in calls}
+        for shape, src in srcs.items():
+            yield pytest.param(lang, head + src, id=f"{lang}-{shape}")
+
+
+@pytest.mark.parametrize("lang, src", _deep_inputs())
+def test_deep_terms_round_trip_and_serialize(lang, src):
+    # Trees are compared by their s-expressions: term == still recurses.
+    t = parse(src, lang)
+    sexpr = to_sexpr(t)
+    assert to_sexpr(parse(to_infix(t), lang)) == sexpr
+    assert to_json(t).count('"node": "app"') == sexpr.count("(app ")

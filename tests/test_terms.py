@@ -14,6 +14,7 @@ import pytest
 
 from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow, r_sin
 from microcas.factoring import i_add, i_mul, i_neg, i_pow
+from microcas.printing import to_infix
 from microcas.rational import frac_value, is_rat_expr, q_add, q_inv, q_lit, q_mul, q_neg, X_Q
 from microcas.terms import (
     FRAC,
@@ -179,6 +180,7 @@ def test_terms_with_copied_operator_nodes_read_the_same():
     assert is_rat_expr(rat2) and frac_value(rat2) == frac_value(rat)
     assert is_diff_expr(real2)
     assert eval_as(quote(closed2), INT) == IntV(7)
+    assert [to_infix(t) for t in (rat2, real2, closed2)] == [to_infix(t) for t in (rat, real, closed)]
 
 
 def test_integer_and_rational_evaluation_of_deep_terms():
