@@ -49,6 +49,7 @@ from .terms import (
     SynTerm,
     Var,
     match_binary,
+    match_unary,
     op_entry,
     op_table,
     type_name,
@@ -68,6 +69,8 @@ Layout = tuple[int, list]
 
 
 def _write(layout: Callable[[SynTerm], Layout], pieces: list) -> str:
+    """The text of pieces, left to right: a string as it is, a slot as
+    its subterm's layout, in parentheses below the slot's level."""
     out: list[str] = []
     todo = pieces[::-1]
     while todo:
@@ -131,18 +134,11 @@ def _infix(t: SynTerm) -> Layout:
     raise ValueError(f"no infix form for {t!r}")
 
 
-def _operand(t: SynTerm, op: Const) -> Optional[SynTerm]:
-    """u if t is App(op, u), else None."""
-    if type(t) is App and (t.fun is op or t.fun == op):
-        return t.arg
-    return None
-
-
 def _sum(neg: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
     """a + b, or a - u for b = -u where the language spells '-' as sugar."""
 
     def layout(a: SynTerm, b: SynTerm) -> Layout:
-        u = _operand(b, neg) if neg is not None else None
+        u = match_unary(b, neg) if neg is not None else None
         if u is not None:
             return _EXPR, [(a, _EXPR), " - ", (u, _TERM)]
         return _EXPR, [(a, _EXPR), " + ", (b, _TERM)]
@@ -155,7 +151,7 @@ def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
     "a / d" would fold into one."""
 
     def layout(a: SynTerm, b: SynTerm) -> Layout:
-        d = _operand(b, inv) if inv is not None else None
+        d = match_unary(b, inv) if inv is not None else None
         if d is not None:
             dv = literal_value(d)
             if literal_value(a) is None or not dv:
@@ -163,6 +159,9 @@ def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
         return _TERM, [(a, _TERM), " * ", (b, _UNARY)]
 
     return layout
+
+
+_rat_quotient = _product(rq.INV_Q)
 
 
 def _rat_product(a: SynTerm, b: SynTerm) -> Layout:
@@ -207,9 +206,6 @@ def _as_power_chain(base: SynTerm, rest: SynTerm) -> Optional[int]:
             return None
         rest = inner[1]
         n += 1
-
-
-_rat_quotient = _product(rq.INV_Q)
 
 
 _INFIX_BINARY = op_table({
