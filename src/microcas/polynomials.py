@@ -10,13 +10,15 @@ that form is made.  The public views (``coeffs``, ``leading``,
 integers.  Division is integer pseudo-division divided through once,
 and the gcd is the monic end of Collins's primitive remainder sequence.
 rational_roots and linear_part expose the rational-root structure the
-normalization code needs.
+normalization code needs: roots are found by p-adic lifting (Loos) and
+each is checked by exact integer division, so no coefficient is ever
+factored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Union
 
 NEG_INFINITY = float("-inf")
@@ -164,7 +166,7 @@ class Poly:
         return Fraction(acc, self._den * qk // q)
 
     def derivative(self) -> "Poly":
-        return _poly([k * c for k, c in enumerate(self._num) if k > 0], self._den)
+        return _poly(_derivative(self._num), self._den)
 
 
 def _content(cs: Iterable[int], g: int = 0) -> int:
@@ -174,6 +176,10 @@ def _content(cs: Iterable[int], g: int = 0) -> int:
             break
         g = gcd(g, c)
     return g
+
+
+def _derivative(cs: Iterable[int]) -> list[int]:
+    return [k * c for k, c in enumerate(cs) if k]
 
 
 def _times(cs: Iterable[int], k: int) -> list[int]:
@@ -237,21 +243,78 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd; gcd(p, 0) is monic p, gcd(0, 0) is an error.
 
     A nonzero constant operand makes the gcd 1 at once.  Otherwise
-    Collins's primitive remainder sequence runs on the integer
-    numerators, taking the primitive part of every pseudo-remainder,
-    and the last nonzero term is made monic.  The result is monic, so
-    dividing a monic polynomial by it leaves a monic quotient: the
-    fraction arithmetic in ``rational`` relies on that to keep its
-    denominators monic without rescaling.
+    ``_prs_gcd`` runs on the integer numerators, and its result is made
+    monic.  The result is monic, so dividing a monic polynomial by it
+    leaves a monic quotient: the fraction arithmetic in ``rational``
+    relies on that to keep its denominators monic without rescaling.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if p.degree == 0 or q.degree == 0:
         return ONE
-    a, b = _primitive(p._num), _primitive(q._num)
+    g = _prs_gcd(p._num, q._num)
+    return _poly(g, g[-1])
+
+
+def _prs_gcd(a: Iterable[int], b: Iterable[int]) -> list[int]:
+    """A primitive gcd of two integer polynomials, not both zero, by
+    Collins's primitive remainder sequence: the primitive part of every
+    pseudo-remainder, up to the last nonzero one."""
+    a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
         a, b = b, _primitive(_pdiv(a, b)[1])
-    return ONE if b else _poly(a, a[-1])
+    return [1] if b else a
+
+
+def _eval_mod(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_mod(s: list[int], ds: list[int]) -> tuple[int, list[int]]:
+    """(l, roots): the smallest odd prime l not dividing lc(s) at which
+    every root of s mod l is simple (ds = s' is a unit there), and
+    those roots.  Only primes dividing lc(s) * disc(s) are passed over,
+    so for a square-free s the search ends."""
+    ell = 1
+    while True:
+        ell += 2
+        if not s[-1] % ell or any(not ell % d for d in range(3, isqrt(ell) + 1, 2)):
+            continue
+        sm, dm = [c % ell for c in s], [c % ell for c in ds]
+        roots = [r for r in range(ell) if not _eval_mod(sm, r, ell)]
+        if all(_eval_mod(dm, r, ell) for r in roots):
+            return ell, roots
+
+
+def _root_candidates(s: list[int]) -> list[Fraction]:
+    """Rationals among which are all rational roots of the primitive
+    square-free s of degree >= 1, by Loos's p-adic method.
+
+    Take l as in ``_simple_roots_mod``.  A root a/b of s in lowest
+    terms has b | lc(s), so it reduces to one of the simple roots of s
+    mod l, and Newton's iteration lifts that root to the unique l-adic
+    root above it.  B = |lc(s)| + max|c_i| (Cauchy's bound) bounds
+    |lc(s) * a/b|, so once the modulus m exceeds 2B the symmetric
+    residue of lc(s) * root mod m is lc(s) * a/b exactly.
+    """
+    lead = s[-1]
+    if len(s) == 2:
+        return [Fraction(-s[0], lead)]
+    ds = _derivative(s)
+    top = 2 * (abs(lead) + max(abs(c) for c in s))
+    ell, residues = _simple_roots_mod(s, ds)
+    out = []
+    for r in residues:
+        m = ell
+        while m <= top:
+            m *= m
+            r = (r - _eval_mod(s, r, m) * pow(_eval_mod(ds, r, m), -1, m)) % m
+        v = lead * r % m
+        out.append(Fraction(v - m if 2 * v > m else v, lead))
+    return out
 
 
 def _deflate(cs: list[int], p: int, q: int) -> Optional[list[int]]:
@@ -275,12 +338,11 @@ def _deflate(cs: list[int], p: int, q: int) -> Optional[list[int]]:
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, sorted by value.
 
-    Classic rational-root theorem on the primitive integer numerator:
-    any root p/q in lowest terms has p dividing the constant term and q
-    dividing the leading one.  Candidates are visited numerator-major,
-    each coprime pair once, skipping those beyond the Cauchy bound;
-    each is tried by exact integer division by (q x - p), repeated for
-    its multiplicity.
+    No coefficient is factored.  ``_root_candidates`` lists candidates
+    from the square-free part s = f / gcd(f, f') of the primitive
+    integer numerator f.  Each is tried by exact integer division of f
+    by (b x - a), repeated for its multiplicity; a spurious candidate
+    fails the first division.
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
@@ -294,22 +356,14 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         roots[Fraction(0)] = zero_mult
     work = _primitive(p._num[zero_mult:])
     if len(work) > 1:
-        from .factoring import divisors  # local: factoring has no poly deps
-
-        lead = abs(work[-1])
-        # p/q beyond 1 + max|c_i / c_n| is no root.
-        bound = lead + max(abs(c) for c in work)
-        dens = divisors(lead)
-        for num in divisors(work[0]):
-            for den in dens:
-                if gcd(num, den) != 1 or num * lead > bound * den:
-                    continue
-                for r in (num, -num):
-                    mult = 0
-                    while len(work) > 1 and (quotient := _deflate(work, r, den)) is not None:
-                        work, mult = quotient, mult + 1
-                    if mult:
-                        roots[Fraction(r, den)] = mult
+        g = _prs_gcd(work, _derivative(work))
+        s = work if len(g) == 1 else _primitive(_pdiv(work, g)[0])
+        for a in _root_candidates(s):
+            mult = 0
+            while len(work) > 1 and (quotient := _deflate(work, a.numerator, a.denominator)) is not None:
+                work, mult = quotient, mult + 1
+            if mult:
+                roots[a] = mult
     return sorted(roots.items())
 
 

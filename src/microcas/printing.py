@@ -115,7 +115,10 @@ def _infix(t: SynTerm) -> Layout:
             make = op_entry(_INFIX_UNARY, f)
             if make is not None:
                 return make(t.arg)
-        raise ValueError(f"no infix form for {t!r}")
+        # Name the operator only: repr of the subtree recurses through it.
+        head = f.fun if type(f) is App else f
+        name = repr(head.symbol) if isinstance(head, Const) else type(head).__name__
+        raise ValueError(f"no infix form for the operator {name}")
     v = literal_value(t)
     if v is not None:
         if v.denominator != 1:

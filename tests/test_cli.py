@@ -234,6 +234,18 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.strip() == "[1, [[2, 2], [3, 1]]]"
 
 
+def test_norm_fun_with_a_huge_constant_subprocess():
+    n = (2**127 - 1) * (2**89 - 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "microcas", "norm-fun", f"fun x -> 1 / (x^2 - {n})"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"fun x -> 1 / (x^2 - {n})"
+
+
 def _readme_examples() -> list[tuple[str, list[str], int]]:
     """(command, expected stdout lines, exit code) for every `$ microcas`
     line in the README's text blocks; a trailing `# exit code N` comment

@@ -21,12 +21,15 @@ from microcas.parser import LANGS, ParseError, PredicateViolation, parse
 from microcas.printing import FORMATS, format_term, to_infix, to_json, to_sexpr
 from microcas.rational import X_Q, q_inv, q_lit, q_mul, q_pow
 from microcas.terms import (
+    App,
+    Const,
     INT,
     IntLit,
     Lambda,
     Quote,
     RAT,
     RatLit,
+    REAL,
     Var,
     quote,
 )
@@ -207,6 +210,13 @@ def test_printer_rejects_foreign_trees():
         to_infix(
             Lambda("x", RAT, Lambda("x", RAT, X_Q))
         )
+
+
+
+def test_printer_error_names_only_the_operator():
+    t = parse("sin(" * 3000 + "x" + ")" * 3000, "diffexpr")
+    with pytest.raises(ValueError, match=r"^no infix form for the operator 'foo'$"):
+        to_infix(App(Const("foo", REAL), t))
 
 
 # -- the round-trip law ----------------------------------------------------

@@ -12,7 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from microcas.polynomials import Poly, linear_part, poly_gcd, rational_roots
+import microcas.factoring
+from microcas.parser import parse
+from microcas.polynomials import Poly, _simple_roots_mod, linear_part, poly_gcd, rational_roots
+from microcas.printing import to_infix
+from microcas.rational import norm_rat_fun
 
 NEG_INF = float("-inf")
 
@@ -106,6 +110,38 @@ def test_rational_roots_respects_multiplicity_and_scaling():
     p = (Poly([0, 1]) ** 3 * Poly([-2, 1])).scale(Fraction(7, 3))
     roots = dict(rational_roots(p))
     assert roots == {Fraction(0): 3, Fraction(2): 1}
+
+
+def test_rational_roots_skip_primes_with_a_repeated_root():
+    # The roots 1..12 collide mod every odd prime below 13, so the
+    # residues are taken mod 13; x^2 + 2 has no root mod 13.
+    p = Poly([2, 0, 1])
+    for i in range(1, 13):
+        p = p * Poly([-i, 1])
+    assert _simple_roots_mod(list(p._num), list(p.derivative()._num))[0] == 13
+    assert rational_roots(p) == [(Fraction(i), 1) for i in range(1, 13)]
+
+
+def test_rational_roots_with_64_bit_numerators_and_denominators():
+    a = Fraction(2**64 - 59, 2**63 - 25)
+    b = Fraction(-(2**61 - 1), 2**64 - 59)
+    p = Poly([-a, 1]) ** 2 * Poly([-b, 1]) * Poly([-3, 0, 0, 1])
+    assert rational_roots(p) == [(b, 1), (a, 2)]
+    assert linear_part(p) == Poly([-a, 1]) ** 2 * Poly([-b, 1])
+
+
+def test_rational_roots_factor_no_coefficient(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factor_int({n}) called")
+
+    monkeypatch.setattr(microcas.factoring, "factor_int", refuse)
+    # (p1 x - p2)(p3 x - p4) for 32-bit primes: both outer coefficients
+    # are 64-bit semiprimes.
+    p1, p2, p3, p4 = 4294967291, 4294967279, 4294967231, 4294967197
+    a, b, c = p1 * p3, -(p1 * p4 + p2 * p3), p2 * p4
+    assert rational_roots(Poly([c, b, a])) == sorted([(Fraction(p2, p1), 1), (Fraction(p4, p3), 1)])
+    f = norm_rat_fun(parse(f"fun x -> 1 / ({a}*x^2 - {-b}*x + {c})", "ratfun"))
+    assert to_infix(f) == f"fun x -> {Fraction(1, a)} / (x^2 - {Fraction(-b, a)} * x + {Fraction(c, a)})"
 
 
 def test_rational_roots_of_zero_poly_raises():
@@ -366,7 +402,13 @@ def test_rational_roots_match_brute_force(a):
 
 
 @given(
-    st.lists(st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5), max_size=5),
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5),
+            st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+        ),
+        max_size=5,
+    ),
     st.sampled_from([(F(1),), (F(2), F(0), F(1)), (F(-3), F(0), F(0), F(1))]),
     st.one_of(st.integers(-(2**70), 2**70), big).filter(bool),
 )

@@ -360,6 +360,12 @@ def test_singular_points_sorted_and_complete():
     assert singular_points(rx("1 / (x - x)")) == []
 
 
+def test_singular_points_of_a_quadratic_with_a_huge_constant():
+    # Listing the divisors of N means factoring it; the roots need not.
+    n = (2**127 - 1) * (2**89 - 1)
+    assert singular_points(parse(f"1 / (x^2 - {n})", "ratexpr")) == []
+
+
 def test_frac_term_and_frac_to_term_round_trip_values():
     c = frac_value(rx("x / (x^2 - 1)"))
     t = frac_to_term(c)
