@@ -3,9 +3,9 @@ numeric machinery that keeps it honest.
 
 The language: the real variable x, rational constants, +, *, binary and
 unary -, the multiplicative inverse, powers with a rational-literal
-exponent, exp, ln, sin, cos, tan.  ``diff`` rewrites a term to its
-derivative term and tidies the result with ``simplify``; the rewrite is
-purely syntactic and never sees a number.
+exponent, exp, ln, sin, cos, tan.  ``diff`` builds the derivative term
+in one bottom-up fold, tidied by ``simplify``'s rules as it goes; the
+rewrite is purely syntactic and never sees a number.
 
 Terms are lowered once and evaluated many times.  ``compile_real``
 decides membership and lowers a term, in one iterative pass, to a
@@ -37,7 +37,6 @@ from .terms import (
     SynTerm,
     Var,
     fold,
-    match_binary,
     match_unary,
     op_table,
     register_constant,
@@ -193,84 +192,73 @@ def is_diff_expr(t: SynTerm) -> bool:
 
 
 def diff(t: SynTerm) -> Optional[SynTerm]:
-    """Derivative term, simplified; None outside the language."""
+    """Derivative term, simplified; None outside the language.
+
+    One bottom-up fold gives each subterm u the triple (simplify(u),
+    simplify(u'), w'), u' built by the simplifier's own rules from the
+    operands' triples; w' is set only when u is exp(w), for the rule
+    d ln(exp(w)) = w' (exp(w) is nonzero wherever w is defined).
+    """
     if not is_diff_expr(t):
         return None
-    return simplify(_d(t))
+    return fold(t, lambda u: (u, r_lit(1 if u == X_R else 0), None), _D_UNARY, _D_BINARY)[1]
 
 
-def _d(t: SynTerm) -> SynTerm:
-    if t == X_R:
-        return r_lit(1)
-    if lit_value(t) is not None:
-        return r_lit(0)
-    parts = match_binary(t, ADD_R)
-    if parts is not None:
-        return r_add(_d(parts[0]), _d(parts[1]))
-    parts = match_binary(t, SUB_R)
-    if parts is not None:
-        return r_sub(_d(parts[0]), _d(parts[1]))
-    parts = match_binary(t, MUL_R)
-    if parts is not None:
-        u, v = parts
-        return r_add(r_mul(_d(u), v), r_mul(u, _d(v)))
-    parts = match_binary(t, POW_R)
-    if parts is not None:
-        u, c_term = parts
-        c = lit_value(c_term)
-        assert c is not None
-        if c == 0:
-            return r_lit(0)
-        if c == 1:
-            return _d(u)
-        # c * u^(c-1) * u'
-        return r_mul(r_mul(_emit_lit(c), r_pow(u, r_lit(c - 1))), _d(u))
-    arg = match_unary(t, NEG_R)
-    if arg is not None:
-        return r_neg(_d(arg))
-    arg = match_unary(t, INV_R)
-    if arg is not None:
-        return r_neg(r_mul(_d(arg), r_pow(arg, r_lit(-2))))
-    arg = match_unary(t, EXP_R)
-    if arg is not None:
-        return r_mul(_d(arg), r_exp(arg))
-    arg = match_unary(t, LN_R)
-    if arg is not None:
-        inner = match_unary(arg, EXP_R)
-        if inner is not None:  # exp(w) is nonzero wherever w is defined
-            return _d(inner)
-        return r_mul(_d(arg), r_inv(arg))
-    arg = match_unary(t, SIN_R)
-    if arg is not None:
-        return r_mul(_d(arg), r_cos(arg))
-    arg = match_unary(t, COS_R)
-    if arg is not None:
-        return r_neg(r_mul(_d(arg), r_sin(arg)))
-    arg = match_unary(t, TAN_R)
-    if arg is not None:
-        return r_mul(_d(arg), r_pow(r_cos(arg), r_lit(-2)))
-    raise AssertionError(f"unhandled term {t!r}")  # pragma: no cover
+def _linear(simp):
+    """The fold step for + or -, which commute with d/dx."""
+    return lambda a, b: (simp(a[0], b[0]), simp(a[1], b[1]), None)
+
+
+def _d_mul(a: tuple, b: tuple) -> tuple:
+    (u, du, _), (v, dv, _) = a, b
+    return _simp_mul(u, v), _simp_add(_simp_mul(du, v), _simp_mul(u, dv)), None
+
+
+def _d_pow(a: tuple, e: tuple) -> tuple:
+    u, du, _ = a
+    c = lit_value(e[0])
+    # c * u^(c-1) * u', which is 0 when c = 0 and u' itself when c = 1
+    d = du if c == 1 else _simp_mul(_simp_mul(_emit_lit(c), _simp_pow(u, r_lit(c - 1))), du)
+    return _simp_pow(u, e[0]), d, None
+
+
+def _d_neg(a: tuple) -> tuple:
+    return _simp_neg(a[0]), _simp_neg(a[1]), None
+
+
+def _d_exp(a: tuple) -> tuple:
+    e = r_exp(a[0])
+    return e, _simp_mul(a[1], e), a[1]
+
+
+def _d_ln(a: tuple) -> tuple:
+    u, du, dw = a
+    return r_ln(u), dw if dw is not None else _simp_mul(du, _simp_inv(u)), None
+
+
+def _chain(simp, outer, negate: bool = False):
+    """The fold step for f(u) with simplified form simp(u) and
+    derivative u' * outer(u), negated when ``negate``."""
+
+    def step(a: tuple) -> tuple:
+        u, du, _ = a
+        d = _simp_mul(du, outer(u))
+        return simp(u), _simp_neg(d) if negate else d, None
+
+    return step
 
 
 def simplify(t: SynTerm) -> SynTerm:
     """Clean literal artifacts out of a derivative: fold constants,
     drop +0/*1, collapse *0 and --u, unwrap ^1.  Local rules only,
-    applied bottom-up to a fixpoint; where the input is defined the
-    value is unchanged (dropping 0*u may enlarge the domain, never
-    shrink it).  Output keeps negative constants as negations of
-    positive literals, the only form the concrete syntax has for them.
+    applied in one bottom-up pass, whose result no rule changes again;
+    where the input is defined the value is unchanged (dropping 0*u may
+    enlarge the domain, never shrink it).  Output keeps negative
+    constants as negations of positive literals, the only form the
+    concrete syntax has for them.
     """
     if not is_diff_expr(t):
         raise ValueError("not in the differentiable language")
-    while True:
-        t2 = _simp(t)
-        if t2 == t:
-            return t
-        t = t2
-
-
-def _simp(t: SynTerm) -> SynTerm:
-    """One bottom-up pass of the local rules."""
     return fold(t, lambda u: u, _SIMP_UNARY, _SIMP_BINARY)
 
 
@@ -307,7 +295,7 @@ def _simp_sub(a: SynTerm, b: SynTerm) -> SynTerm:
     if vb == 0:
         return a
     if va == 0:
-        return r_neg(b)
+        return _simp_neg(b)
     return r_sub(a, b)
 
 
@@ -322,9 +310,9 @@ def _simp_mul(a: SynTerm, b: SynTerm) -> SynTerm:
     if vb == 1:
         return a
     if va == -1:
-        return r_neg(b)
+        return _simp_neg(b)
     if vb == -1:
-        return r_neg(a)
+        return _simp_neg(a)
     return r_mul(a, b)
 
 
@@ -342,6 +330,16 @@ def _simp_pow(base: SynTerm, exp_term: SynTerm) -> SynTerm:
 _SIMP_UNARY = op_table({NEG_R: _simp_neg, INV_R: _simp_inv, EXP_R: r_exp, LN_R: r_ln,
                         SIN_R: r_sin, COS_R: r_cos, TAN_R: r_tan})
 _SIMP_BINARY = op_table({ADD_R: _simp_add, SUB_R: _simp_sub, MUL_R: _simp_mul, POW_R: _simp_pow})
+_D_UNARY = op_table({
+    NEG_R: _d_neg,
+    INV_R: _chain(_simp_inv, lambda u: _simp_pow(u, r_lit(-2)), negate=True),
+    EXP_R: _d_exp,
+    LN_R: _d_ln,
+    SIN_R: _chain(r_sin, r_cos),
+    COS_R: _chain(r_cos, r_sin, negate=True),
+    TAN_R: _chain(r_tan, lambda u: _simp_pow(r_cos(u), r_lit(-2))),
+})
+_D_BINARY = op_table({ADD_R: _linear(_simp_add), SUB_R: _linear(_simp_sub), MUL_R: _d_mul, POW_R: _d_pow})
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .terms import (
     op_table,
     register_constant,
     register_evaluator,
+    same_term,
 )
 
 # rational field operators
@@ -363,7 +364,7 @@ def is_norm(t: SynTerm) -> bool:
         return False
     if v is None:
         return t == UNDEFINED_NORMAL_FORM
-    return frac_to_term(v) == t
+    return same_term(frac_to_term(v), t)
 
 
 def _read_fraction_shape(t: SynTerm) -> Optional[tuple[Poly, Poly]]:
@@ -377,11 +378,11 @@ def _read_fraction_shape(t: SynTerm) -> Optional[tuple[Poly, Poly]]:
             den = _read_poly(inv_arg)
             if num is None or den is None:
                 return None
-            if frac_term(num, den) != t:
+            if not same_term(frac_term(num, den), t):
                 return None
             return num, den
     num = _read_poly(t)
-    if num is None or _poly_term(num) != t:
+    if num is None or not same_term(_poly_term(num), t):
         return None
     return num, ONE
 

@@ -270,6 +270,31 @@ def match_binary(t: SynTerm, op: Const) -> Optional[tuple[SynTerm, SynTerm]]:
     return None
 
 
+def same_term(a: SynTerm, b: SynTerm) -> bool:
+    """Structural equality of two terms, as ``==`` gives it, but on an
+    explicit stack, so depth is bounded by memory only (dataclass ``==``
+    recurses once per level).  A node shared by both sides is equal
+    without a walk."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is App:
+            todo += ((a.arg, b.arg), (a.fun, b.fun))
+        elif type(a) is Lambda:
+            if a.var != b.var or a.var_ty != b.var_ty:
+                return False
+            todo.append((a.body, b.body))
+        elif type(a) is Quote:
+            todo.append((a.term, b.term))
+        elif a != b:
+            return False
+    return True
+
+
 class NotInLanguage(ValueError):
     """A fold met a node outside the language it reads."""
 
