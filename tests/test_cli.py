@@ -160,6 +160,10 @@ def test_deep_sum_norm_and_eval(capsys):
     assert out.strip() == "2998"
 
 
+def test_diff_of_a_deep_sum(capsys):
+    assert run(capsys, "diff", " + ".join(["x"] * 3000))[:2] == (0, "3000\n")
+
+
 def test_deeply_nested_input(capsys):
     assert run(capsys, "norm-expr", "(" * 3000 + "x" + ")" * 3000)[:2] == (0, "x\n")
     code, out, _ = run(capsys, "domain", "sin(" * 3000 + "x" + ")" * 3000, "--lo", "0", "--hi", "1", "--n", "3")

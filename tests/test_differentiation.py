@@ -19,7 +19,9 @@ import pytest
 from microcas.differentiation import (
     COS_R,
     INV_R,
+    MUL_R,
     NEG_R,
+    SIN_R,
     SUB_R,
     X_R,
     check_spec_diff,
@@ -49,7 +51,7 @@ from microcas.harness import GenConfig, draw_diff_expr, draw_non_member
 from microcas.parser import parse
 from microcas.polynomials import Poly
 from microcas.printing import to_infix
-from microcas.terms import RAT, App, Const, IntLit, REAL, Var
+from microcas.terms import RAT, App, Const, IntLit, REAL, Var, match_binary, match_unary, same_term
 
 
 def dx(src: str):
@@ -350,6 +352,48 @@ def test_deep_nest_is_member_without_recursion():
         t = r_sin(t)
     assert is_diff_expr(t)
     assert not is_diff_expr(r_pow(X_R, t))
+
+
+def test_diff_and_simplify_of_a_deep_sum_without_recursion():
+    total = dx(" + ".join(["x"] * 3000))
+    assert diff(total) == r_lit(3000)
+    assert same_term(simplify(total), total)
+
+
+def test_diff_and_simplify_of_a_deep_nest_without_recursion():
+    t = X_R
+    for _ in range(3000):
+        t = r_sin(t)
+    assert same_term(simplify(t), t)
+    # d sin^n(x) = cos(x) * cos(sin(x)) * ... * cos(sin^(n-1)(x)), a
+    # left-nested product whose cosines' arguments each wrap the last
+    d, inner = diff(t), None
+    for _ in range(2999):
+        d, factor = match_binary(d, MUL_R)
+        arg = match_unary(factor, COS_R)
+        assert inner is None or match_unary(inner, SIN_R) is arg
+        inner = arg
+    assert match_unary(d, COS_R) == X_R
+    assert match_unary(inner, SIN_R) is match_unary(d, COS_R)
+
+
+def test_diff_of_an_alternating_sin_exp_nest_without_recursion():
+    t, v, dv = X_R, 0.3, 1.0  # the value and derivative at 0.3, by the chain rule
+    for i in range(200):
+        if i % 2:
+            t, v = r_exp(t), math.exp(v)
+            dv *= v
+        else:
+            t, v, dv = r_sin(t), math.sin(v), dv * math.cos(v)
+    assert same_term(simplify(t), t)
+    assert eval_real(diff(t), 0.3).value == pytest.approx(dv, rel=1e-9)
+
+
+def test_exponent_must_be_a_literal_not_a_constant_subterm():
+    t = r_pow(X_R, r_add(r_lit(2), r_lit(3)))
+    assert diff(t) is None
+    with pytest.raises(ValueError):
+        simplify(t)
 
 
 def test_non_finite_points_are_undefined():

@@ -290,6 +290,15 @@ def test_is_quasinorm_accepts_surviving_linear_factors():
     assert not is_quasinorm(rx("1 + 1"))
 
 
+@pytest.mark.parametrize("src", ["(x + 1)^200", "(x^400 - 1) / (x - 1)"])
+def test_norm_predicates_on_deep_normal_forms(src):
+    n = norm_rat_expr(rx(src))
+    assert is_norm(n)
+    assert is_quasinorm(n)
+    assert not is_norm(q_add(n, q_lit(0)))
+    assert not is_quasinorm(q_add(n, q_lit(0)))
+
+
 # -- quasinormalization and rational functions --------------------------
 
 

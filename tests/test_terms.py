@@ -42,6 +42,7 @@ from microcas.terms import (
     match_binary,
     match_unary,
     quote,
+    same_term,
     type_name,
 )
 
@@ -195,3 +196,17 @@ def test_integer_and_rational_evaluation_of_deep_terms():
     mixed = i_add(IntLit(1), q_lit(1))
     assert eval_as(quote(mixed), INT) is None
     assert eval_as(quote(mixed), RAT) is None
+
+
+def test_same_term_agrees_with_equality_without_recursion():
+    small = [q_add(X_Q, q_lit(1)), q_add(X_Q, q_lit(2)), q_add(q_lit(1), X_Q), IntLit(1), RatLit(1),
+             Lambda("x", RAT, X_Q), Lambda("y", RAT, X_Q), Lambda("x", INT, X_Q), quote(X_Q), quote(q_lit(1))]
+    for a in small:
+        for b in small:
+            assert same_term(a, b) == (a == b)
+        assert same_term(a, copy.deepcopy(a))
+    a, b, c = q_lit(1), q_lit(1), q_lit(2)
+    for _ in range(3000):
+        a, b, c = q_add(X_Q, a), q_add(X_Q, b), q_add(X_Q, c)
+    assert same_term(quote(a), quote(b))
+    assert not same_term(a, c)
