@@ -41,6 +41,7 @@ from .polynomials import Poly
 from .factoring import PrimeFactorization, factor, factor_int, remult
 from .rational import (
     CanonicalFraction,
+    compile_rat,
     frac_value,
     is_norm,
     is_quasinorm,
@@ -84,6 +85,7 @@ __all__ = [
     "SynTerm",
     "Var",
     "check_all",
+    "compile_rat",
     "compile_real",
     "deriv_numeric",
     "diff",

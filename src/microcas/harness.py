@@ -4,9 +4,10 @@ Each check_* function runs one operation's formal contract over a
 batch of generated terms, one tally per contract branch, and returns a
 Report.  The defined branches are cross-checked against oracles that
 do not share code with the implementation under test: factoring is
-re-multiplied through the quotation kernel, normalization is compared
-by cross-multiplying the unreduced flattened fractions, derivatives
-against central differences.  A report only counts as ok when every
+re-multiplied through the quotation kernel, normalization and quoted
+fractions are compared by cross-multiplying the unreduced flattened
+fractions, quoted rational terms and functions against a recursive
+denotation, derivatives against central differences.  A report only counts as ok when every
 branch was actually exercised, so a generator drifting away from an
 undefinedness path fails loudly instead of silently.
 """
@@ -435,8 +436,9 @@ def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
         agreed = is_fun
         bad_point: Optional[Fraction] = None
         if is_fun:
+            pf, pg = rq.compile_rat(f.body), rq.compile_rat(g.body)
             for a in _sample_points(rng, f.body, 50):
-                if rq.eval_pointwise(f.body, a) != rq.eval_pointwise(g.body, a):
+                if pf(a) != pg(a):
                     agreed = False
                     bad_point = a
                     break
@@ -503,26 +505,28 @@ def _int_denote(t: SynTerm) -> Optional[int]:
     return None
 
 
-def _rat_denote(t: SynTerm) -> Optional[Fraction]:
-    """Independent meaning of a closed rational term; inverses of zero
-    have none."""
+def _rat_denote(t: SynTerm, x: Optional[Fraction] = None) -> Optional[Fraction]:
+    """Independent meaning of a rational term, closed or, given a point
+    x, with the variable read as x; inverses of zero have none."""
     if isinstance(t, RatLit):
         return t.value
+    if x is not None and t == rq.X_Q:
+        return x
     parts = match_binary(t, rq.ADD_Q)
     if parts is not None:
-        a, b = _rat_denote(parts[0]), _rat_denote(parts[1])
+        a, b = _rat_denote(parts[0], x), _rat_denote(parts[1], x)
         return a + b if a is not None and b is not None else None
     parts = match_binary(t, rq.MUL_Q)
     if parts is not None:
-        a, b = _rat_denote(parts[0]), _rat_denote(parts[1])
+        a, b = _rat_denote(parts[0], x), _rat_denote(parts[1], x)
         return a * b if a is not None and b is not None else None
     arg = match_unary(t, rq.NEG_Q)
     if arg is not None:
-        a = _rat_denote(arg)
+        a = _rat_denote(arg, x)
         return -a if a is not None else None
     arg = match_unary(t, rq.INV_Q)
     if arg is not None:
-        a = _rat_denote(arg)
+        a = _rat_denote(arg, x)
         if a is None or a == 0:
             return None
         return 1 / a
@@ -563,12 +567,12 @@ def check_disquotation(cfg: GenConfig) -> Report:
 
     for _ in range(cfg.cases):
         t = draw_rat_expr(rng, cfg)
-        want = rq.frac_value(t)
+        ft = rq.flatten_raw(t)
         got = eval_as(quote(t), FRAC)
-        if want is None:
+        if ft is None:
             ok = got is None
         else:
-            ok = isinstance(got, FracV) and got.value == want
+            ok = isinstance(got, FracV) and ft[0] * got.value.den == got.value.num * ft[1]
         fracs.record(ok, lambda: to_sexpr(t))
 
     qq = Arrow(RAT, RAT)
@@ -578,7 +582,7 @@ def check_disquotation(cfg: GenConfig) -> Report:
         ok = isinstance(got, FnQQ) and got.term == f
         if ok:
             for a in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)):
-                if got(a) != rq.eval_pointwise(f.body, a):
+                if got(a) != _rat_denote(f.body, a):
                     ok = False
                     break
         funs.record(ok, lambda: to_sexpr(f))

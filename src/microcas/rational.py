@@ -26,6 +26,13 @@ points where the term is undefined are exactly the rational roots of
 the flattened numerators of inverted subterms, so quasinormalization
 collects those numerators and pins each lost root a back into the
 result by multiplying numerator and denominator by (x - a).
+
+Values at a point are computed on the original tree, where that
+strictness lives: ``compile_rat`` checks membership and lowers a term
+once, in one iterative pass, to a straight-line ``RatProgram`` over
+unreduced integer pairs whose shared subterms are computed once; the
+program is then run at each point.  ``eval_pointwise`` is one lowering
+and one run.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .polynomials import ONE, Poly, X, ZERO, linear_part, poly_gcd, rational_roots
@@ -54,6 +62,7 @@ from .terms import (
     fold,
     match_binary,
     match_unary,
+    op_entry,
     op_table,
     register_constant,
     register_evaluator,
@@ -125,8 +134,9 @@ UNDEFINED_NORMAL_FORM: SynTerm = q_mul(q_lit(1), q_inv(q_lit(0)))
 
 
 # ---------------------------------------------------------------------------
-# folds over the language: each membership test and value below is one
-# terms.fold with a leaf from _leaf and a pair of operator tables
+# folds over the language: each membership test and value below, but
+# the value at a point, is one terms.fold with a leaf from _leaf and a
+# pair of operator tables
 
 
 def _leaf(lit: Callable[[Fraction], object], x: object) -> Callable[[SynTerm], object]:
@@ -143,7 +153,7 @@ def _leaf(lit: Callable[[Fraction], object], x: object) -> Callable[[SynTerm], o
     return leaf
 
 
-# Values in the rationals: the pointwise and the closed evaluators.
+# Values in the rationals, for the closed evaluator.
 _Q_UNARY = op_table({NEG_Q: operator.neg, INV_Q: lambda u: 1 / u if u != 0 else None})
 _Q_BINARY = op_table({ADD_Q: operator.add, MUL_Q: operator.mul})
 _UNDEFINED_LEAF = _leaf(lambda c: None, None)
@@ -293,13 +303,150 @@ def frac_value(t: SynTerm) -> Optional[CanonicalFraction]:
     return fold(t, _FRAC_LEAF, _FRAC_UNARY, _Q_BINARY)
 
 
+# ---------------------------------------------------------------------------
+# values at a point: a body lowered once, run at each point
+
+
+# Step opcodes of a lowered rational expression; the binary ones (two
+# register operands) come first.
+_ADD, _MUL, _NEG, _INV = range(4)
+_STEP_BINARY = op_table({ADD_Q: _ADD, MUL_Q: _MUL})
+_STEP_UNARY = op_table({NEG_Q: _NEG, INV_Q: _INV})
+_EMIT = object()  # on the work stack, above the opcode of a step
+# A register whose denominator passes 4096 bits is reduced by its gcd.
+# Below that the pairs stay unreduced, since a gcd per step costs more
+# than the larger products it saves.  A common factor of a pair divides
+# its denominator, so the denominator alone shows unreduced growth.
+_REDUCE_ABOVE = 1 << 4096
+
+
+@dataclass(frozen=True)
+class RatProgram:
+    """A rational expression lowered to straight-line code over exact
+    integer pairs, the exact counterpart of ``compile_real``'s program.
+
+    Register 0 holds x and the next ``len(nums) - 1`` registers the
+    term's distinct literals; register k is the pair ``(nums[k],
+    dens[k])`` for the rational nums[k]/dens[k], with dens[k] > 0 and
+    the pair not necessarily reduced.  Step k, an ``(op, i, j)`` triple,
+    writes register ``len(nums) + k`` from registers i and j (j is
+    unused by unary steps).  The last register is the term's value.
+    Shared subterms are computed once.
+    """
+
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
+    steps: tuple[tuple, ...]
+
+    def __call__(self, a: Fraction | int) -> Optional[Fraction]:
+        """Value at x = a, or None where it is undefined: the first
+        inverse of zero ends the run, since every step is a subterm and
+        undefinedness is strict."""
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        n = list(self.nums)
+        d = list(self.dens)
+        n[0], d[0] = a.numerator, a.denominator
+        put_n, put_d = n.append, d.append
+        for op, i, j in self.steps:
+            if op == _MUL:
+                nv, dv = n[i] * n[j], d[i] * d[j]
+            elif op == _ADD:
+                di, dj = d[i], d[j]
+                nv, dv = n[i] * dj + n[j] * di, di * dj
+            elif op == _NEG:
+                nv, dv = -n[i], d[i]
+            else:  # _INV
+                nv, dv = d[i], n[i]
+                if dv <= 0:
+                    if dv == 0:
+                        return None
+                    nv, dv = -nv, -dv
+            if dv > _REDUCE_ABOVE:
+                g = gcd(nv, dv)
+                nv, dv = nv // g, dv // g
+            put_n(nv)
+            put_d(dv)
+        return Fraction(n[-1], d[-1])
+
+
+def compile_rat(t: SynTerm) -> RatProgram:
+    """Lower a rational expression to a RatProgram in one pass.  Raises
+    NotInLanguage, a ValueError, when t is not a rational expression.
+
+    The pass is iterative, so term depth is bounded by memory only.
+    Operators are read through ``op_entry``, so a copy of a registered
+    constant counts.  Each distinct literal is read once, and steps are
+    numbered by value: a step whose (op, i, j) triple already exists
+    reuses its register.
+    """
+    nums: list[int] = [0]
+    dens: list[int] = [1]
+    literals: dict[tuple[int, int], int] = {}
+    steps: list[tuple] = []
+    numbering: dict[tuple, int] = {}
+    # Operands are ids: ~k (that is, -1 - k) is register k, x or a
+    # literal, and k >= 0 is steps[k].
+    ids: list[int] = []
+    todo: list = [t]
+    pop, push = todo.pop, ids.append
+    while todo:
+        node = pop()
+        if node is _EMIT:
+            op = pop()
+            i = ids.pop()
+            key = (op, ids.pop(), i) if op <= _MUL else (op, i, None)
+            k = numbering.get(key)
+            if k is None:
+                k = numbering[key] = len(steps)
+                steps.append(key)
+            push(k)
+        elif type(node) is App:
+            f = node.fun
+            if type(f) is App:
+                op = _STEP_BINARY.get(id(f.fun))
+                if op is None:
+                    op = op_entry(_STEP_BINARY, f.fun)
+                if op is not None:
+                    todo += (op, _EMIT, node.arg, f.arg)
+                    continue
+            else:
+                op = _STEP_UNARY.get(id(f))
+                if op is None:
+                    op = op_entry(_STEP_UNARY, f)
+                if op is not None:
+                    todo += (op, _EMIT, node.arg)
+                    continue
+            raise NotInLanguage("not a rational expression")
+        elif type(node) is RatLit:
+            c = node.value
+            lit = (c.numerator, c.denominator)
+            k = literals.get(lit)
+            if k is None:
+                k = literals[lit] = ~len(nums)
+                nums.append(lit[0])
+                dens.append(lit[1])
+            push(k)
+        elif node is X_Q or node == X_Q:
+            push(-1)
+        else:
+            raise NotInLanguage("not a rational expression")
+    base = len(nums)
+    lowered = tuple([
+        (op, base + i if i >= 0 else ~i, (base + j if j >= 0 else ~j) if op <= _MUL else None)
+        for op, i, j in steps
+    ])
+    return RatProgram(tuple(nums), tuple(dens), lowered)
+
+
 def eval_pointwise(t: SynTerm, a: Fraction | int) -> Optional[Fraction]:
     """Value of a rational expression at x = a, on the original term
     tree: every inverse of a zero value is undefined and undefinedness
     is strict.  This is the map a rational function really computes.
-    Raises NotInLanguage, a ValueError, off the language.
+    One ``compile_rat`` lowering and one run of its program.  Raises
+    NotInLanguage, a ValueError, off the language.
     """
-    return fold(t, _leaf(lambda c: c, Fraction(a)), _Q_UNARY, _Q_BINARY)
+    return compile_rat(t)(a)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,6 @@ INT = BaseType("int")  # integers
 RAT = BaseType("rat")  # exact rationals
 FRAC = BaseType("frac")  # field of fractions of polynomials over the rationals
 REAL = BaseType("real")  # reals (evaluated pointwise, never as a Value)
-BOOL = BaseType("bool")  # truth values (predicates stay host-level)
 SYNTAX = BaseType("syntax")  # terms as data
 
 
@@ -144,14 +144,24 @@ class FracV:
 
 @dataclass(frozen=True)
 class FnQQ:
-    """A rational function, carried as the Lambda term that denotes it."""
+    """A rational function, carried as the Lambda term that denotes it.
+
+    Calling it evaluates the body at a point exactly; the body is
+    lowered by ``rational.compile_rat`` once, on the first call, and the
+    program is kept on the instance.  Equality and hashing read the term
+    only.
+    """
 
     term: SynTerm
 
-    def __call__(self, a: Fraction) -> Optional[Fraction]:
-        from .rational import eval_pointwise
+    @cached_property
+    def _program(self) -> Callable[[Fraction], Optional[Fraction]]:
+        from .rational import compile_rat
 
-        return eval_pointwise(self.term.body, a)
+        return compile_rat(self.term.body)
+
+    def __call__(self, a: Fraction) -> Optional[Fraction]:
+        return self._program(a)
 
 
 @dataclass(frozen=True)

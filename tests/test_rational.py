@@ -10,6 +10,7 @@ agreement through cross-multiplication is the oracle used throughout.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from microcas.rational import (
     CanonicalFraction,
     X_Q,
     body,
+    compile_rat,
     eval_pointwise,
     flatten_raw,
     frac_term,
@@ -47,7 +49,7 @@ from microcas.rational import (
     quasinorm_rat_expr,
     singular_points,
 )
-from microcas.terms import INT, IntLit, Lambda, RAT, Var
+from microcas.terms import INT, App, Arrow, Const, IntLit, Lambda, RAT, RatLit, Var
 
 
 def rx(src: str):
@@ -417,6 +419,7 @@ DEEP_SUM_VALUE = CanonicalFraction(Poly([1, -2999, 2999]), Poly([-1, 1]))
         lambda: is_rat_expr(DEEP_SUM),
         lambda: frac_value(DEEP_SUM) == DEEP_SUM_VALUE,
         lambda: eval_pointwise(DEEP_SUM, 2) == 5999 and eval_pointwise(DEEP_SUM, 1) is None,
+        lambda: compile_rat(DEEP_SUM)(2) == 5999 and compile_rat(DEEP_SUM)(1) is None,
         lambda: flatten_raw(DEEP_SUM)[2] == [Poly([-1, 1])],
         lambda: norm_rat_expr(DEEP_SUM) == frac_to_term(DEEP_SUM_VALUE),
         lambda: singular_points(DEEP_SUM) == [Fraction(1)],
@@ -425,6 +428,7 @@ DEEP_SUM_VALUE = CanonicalFraction(Poly([1, -2999, 2999]), Poly([-1, 1]))
         "is_rat_expr",
         "frac_value",
         "eval_pointwise",
+        "compile_rat",
         "flatten_raw",
         "norm_rat_expr",
         "singular_points",
@@ -444,8 +448,93 @@ def test_flatten_raw_lists_inverted_numerators_left_to_right():
     assert invs == [Poly([0, 1]), Poly([-1, 1])]
 
 
-@pytest.mark.parametrize("fn", [frac_value, flatten_raw, lambda t: eval_pointwise(t, 1)])
+@pytest.mark.parametrize(
+    "fn", [frac_value, flatten_raw, lambda t: eval_pointwise(t, 1), lambda t: compile_rat(t)(1)]
+)
 def test_value_functions_raise_off_language(fn):
     for t in (Var("y", RAT), IntLit(1), q_add(X_Q, Var("x", INT)), Lambda("x", RAT, X_Q)):
         with pytest.raises(ValueError):
             fn(t)
+
+
+# -- values at a point through the lowered program ---------------------
+
+
+def _reference_value(t, a: Fraction):
+    """The value of a rational expression at x = a, folded recursively
+    over reduced Fractions: None under any inverse of zero."""
+    if t == X_Q:
+        return a
+    if isinstance(t, RatLit):
+        return t.value
+    if isinstance(t.fun, App):
+        u, v = _reference_value(t.fun.arg, a), _reference_value(t.arg, a)
+        if u is None or v is None:
+            return None
+        return u + v if t.fun.fun.symbol == "+" else u * v
+    u = _reference_value(t.arg, a)
+    if u is None:
+        return None
+    if t.fun.symbol == "-":
+        return -u
+    return None if u == 0 else 1 / u
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compile_rat_matches_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    t = draw_rat_expr(rng, GenConfig(seed=seed))
+    prog = compile_rat(t)
+    points = set(singular_points(t)) | {Fraction(0), Fraction(1), Fraction(-1)}
+    points |= {Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(12)}
+    for a in sorted(points):
+        want = _reference_value(t, a)
+        got = prog(a)
+        assert got == want and type(got) is type(want), (to_infix(t), a)
+    for a in singular_points(t):
+        assert prog(a) is None, (to_infix(t), a)
+
+
+def test_compile_rat_reads_copies_of_registered_constants():
+    rr = Arrow(RAT, RAT)
+    plus, inv = Const("+", Arrow(RAT, rr)), Const("inv", rr)
+    t = App(App(plus, X_Q), App(inv, X_Q))
+    assert t == rx("x + inv(x)") and t.fun.fun is not rx("x + 1").fun.fun
+    prog = compile_rat(t)
+    assert prog(2) == Fraction(5, 2)
+    assert prog(0) is None
+    assert eval_pointwise(t, Fraction(1, 3)) == Fraction(10, 3)
+
+
+def test_compile_rat_computes_a_shared_subterm_once():
+    # (x + 1)^200 is 199 products over one node x + 1: one step for the
+    # sum, one per product
+    assert len(compile_rat(rx("(x + 1)^200")).steps) == 200
+    assert compile_rat(rx("(x + 1)^200"))(Fraction(-1, 2)) == Fraction(1, 2**200)
+
+
+def test_unreduced_growth_stays_bounded():
+    """Registers keep unreduced integer pairs; without a bound on their
+    size the denominators would grow with every step.  Each of these is
+    evaluated exactly within a wall-time budget."""
+    budget = 5.0
+    t0 = time.monotonic()
+    t = X_Q
+    for _ in range(2999):
+        t = q_add(t, X_Q)
+    assert compile_rat(t)(Fraction(1, 6)) == 500
+    for src in ("(x + 1)^200", "(x - 1)^200"):
+        prog = compile_rat(rx(src))
+        c = 1 if "+" in src else -1
+        for k in range(-8, 8):
+            a = Fraction(k, 7)
+            assert prog(a) == (a + c) ** 200
+    # t_{k+1} = t_k * x + t_k shares t_k: without reduction each level
+    # squares the denominator of the pair, here past 40,000 bits
+    t = X_Q
+    for _ in range(14):
+        t = q_add(q_mul(t, X_Q), t)
+    assert compile_rat(t)(Fraction(1, 6)) == Fraction(1, 6) * Fraction(7, 6) ** 14
+    elapsed = time.monotonic() - t0
+    assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
