@@ -7,9 +7,10 @@ do not share code with the implementation under test: factoring is
 re-multiplied through the quotation kernel, normalization and quoted
 fractions are compared by cross-multiplying the unreduced flattened
 fractions, quoted rational terms and functions against a recursive
-denotation, derivatives against central differences.  A report only counts as ok when every
-branch was actually exercised, so a generator drifting away from an
-undefinedness path fails loudly instead of silently.
+denotation, derivatives against central differences.  A report only
+counts as ok when every branch was actually exercised, so a generator
+drifting away from an undefinedness path fails loudly instead of
+silently.
 """
 
 from __future__ import annotations

@@ -449,7 +449,13 @@ def test_flatten_raw_lists_inverted_numerators_left_to_right():
 
 
 @pytest.mark.parametrize(
-    "fn", [frac_value, flatten_raw, lambda t: eval_pointwise(t, 1), lambda t: compile_rat(t)(1)]
+    "fn",
+    [
+        frac_value,
+        flatten_raw,
+        lambda t: eval_pointwise(t, 1),
+        pytest.param(lambda t: compile_rat(t)(1), id="compile_rat"),
+    ],
 )
 def test_value_functions_raise_off_language(fn):
     for t in (Var("y", RAT), IntLit(1), q_add(X_Q, Var("x", INT)), Lambda("x", RAT, X_Q)):
@@ -486,14 +492,14 @@ def test_compile_rat_matches_a_fraction_reference(seed):
     rng = random.Random(seed)
     t = draw_rat_expr(rng, GenConfig(seed=seed))
     prog = compile_rat(t)
-    points = set(singular_points(t)) | {Fraction(0), Fraction(1), Fraction(-1)}
+    singular = singular_points(t)
+    points = set(singular) | {Fraction(0), Fraction(1), Fraction(-1)}
     points |= {Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(12)}
     for a in sorted(points):
         want = _reference_value(t, a)
         got = prog(a)
         assert got == want and type(got) is type(want), (to_infix(t), a)
-    for a in singular_points(t):
-        assert prog(a) is None, (to_infix(t), a)
+        assert got is None or a not in singular
 
 
 def test_compile_rat_reads_copies_of_registered_constants():
@@ -510,8 +516,9 @@ def test_compile_rat_reads_copies_of_registered_constants():
 def test_compile_rat_computes_a_shared_subterm_once():
     # (x + 1)^200 is 199 products over one node x + 1: one step for the
     # sum, one per product
-    assert len(compile_rat(rx("(x + 1)^200")).steps) == 200
-    assert compile_rat(rx("(x + 1)^200"))(Fraction(-1, 2)) == Fraction(1, 2**200)
+    prog = compile_rat(rx("(x + 1)^200"))
+    assert len(prog.steps) == 200
+    assert prog(Fraction(-1, 2)) == Fraction(1, 2**200)
 
 
 def test_unreduced_growth_stays_bounded():
@@ -524,9 +531,8 @@ def test_unreduced_growth_stays_bounded():
     for _ in range(2999):
         t = q_add(t, X_Q)
     assert compile_rat(t)(Fraction(1, 6)) == 500
-    for src in ("(x + 1)^200", "(x - 1)^200"):
+    for src, c in (("(x + 1)^200", 1), ("(x - 1)^200", -1)):
         prog = compile_rat(rx(src))
-        c = 1 if "+" in src else -1
         for k in range(-8, 8):
             a = Fraction(k, 7)
             assert prog(a) == (a + c) ** 200

@@ -144,6 +144,9 @@ def test_function_evaluation():
     assert isinstance(got, FnQQ)
     assert got(Fraction(2)) == Fraction(1, 2)
     assert got(Fraction(0)) is None
+    # the body is lowered once and kept; equality and hash read the term
+    assert got._program is got._program
+    assert got == FnQQ(f) and hash(got) == hash(FnQQ(f))
 
 
 def test_syntax_evaluation_peels_one_quotation():
