@@ -6,14 +6,21 @@ data into a product term ``s * (p0^e0 * (p1^e1 * ...))`` over the
 integer operators and recognizes exactly those terms.  ``factor`` is
 the syntax-to-syntax operation: defined on numerals only.
 
-Algorithm: trial division by 2 and 3, then 6k+-1 up to 2**16; whatever
-cofactor survives is split with Brent's variant of Pollard's rho,
-certifying primes with a Miller-Rabin test that is deterministic for
-inputs below 3.3e24 (in particular for anything 64-bit).
+Algorithm: trial division by the 6,542 primes below 2**16 (sieved on
+first use, not at import), stopping once p*p exceeds what is left;
+whatever cofactor survives is split with Brent's variant of Pollard's
+rho, certifying primes with a Miller-Rabin test that runs as many prime
+bases as the size of n needs.  Up to 13 bases (2 to 41) make it exact
+below psi_13 = 3317044064679887385961981, about 3.3e24, so in particular
+for anything 64-bit; above that a 14th base (43) runs and a prime is
+probable.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -80,14 +87,42 @@ register_evaluator(INT, _eval_int)
 # ---------------------------------------------------------------------------
 # primality and splitting
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+# _PSI[k - 1] is psi_k, the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases (OEIS A014233;
+# Sorenson & Webster, Math. Comp. 2017).  Below psi_k those k bases
+# decide primality exactly.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic below 3.3e24."""
+    """Miller-Rabin with the first k prime bases, k = 1 + #{j : psi_j <= n}.
+
+    So a 20-bit n takes two bases and a 64-bit one at most twelve, and
+    the answer is exact below psi_13 = 3317044064679887385961981 (about
+    3.3e24).  Bases 2 to 37 alone are exact only below psi_12 =
+    318665857834031151167461 = 399165290221 * 798330580441.  From psi_13 on,
+    all 14 bases (2 to 43) run, which rejects psi_13 itself, and True
+    means probable prime.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -95,7 +130,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -141,8 +176,19 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes below _TRIAL_LIMIT, by a bytearray sieve on first use."""
+    sieve = bytearray([1]) * _TRIAL_LIMIT
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, _TRIAL_LIMIT, i)))
+    return tuple(itertools.compress(range(_TRIAL_LIMIT), sieve))
+
+
 def _split(n: int, out: list[int]) -> None:
-    # n > 1 and has no factor <= _TRIAL_LIMIT here
+    # n > 1 and has no prime factor below _TRIAL_LIMIT here
     if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(n):
         out.append(n)
         return
@@ -158,17 +204,17 @@ def factor_int(n: int) -> "PrimeFactorization":
     sign = 1 if n > 0 else -1
     n = abs(n)
     powers: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d < _TRIAL_LIMIT:
-        for q in (d, d + 2):
-            while n % q == 0:
-                powers[q] = powers.get(q, 0) + 1
-                n //= q
-        d += 6
+    root = math.isqrt(n)
+    for p in _small_primes():
+        if p > root:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            powers[p] = e
+            root = math.isqrt(n)
     if n > 1:
         rest: list[int] = []
         _split(n, rest)

@@ -6,6 +6,8 @@ oracle defined below (written before the implementation was consulted).
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,72 @@ def trial_division_oracle(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     if n > 1:
         out.append((n, 1))
     return sign, tuple(out)
+
+
+def sieve(limit: int) -> list[bool]:
+    """Eratosthenes: sieve(limit)[n] says whether n < limit is prime."""
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for i in range(2, limit):
+        if flags[i] and i * i < limit:
+            for j in range(i * i, limit, i):
+                flags[j] = False
+    return flags
+
+
+SIEVE_LIMIT = 1 << 18
+SIEVE = sieve(SIEVE_LIMIT)
+SIEVE_PRIMES = [p for p in range(SIEVE_LIMIT) if SIEVE[p]]
+
+
+def reference_is_prime(n: int) -> bool:
+    """Exact below 2**36, by trial division with the sieved primes; above
+    that a strong probable-prime test to 32 bases drawn at random, which
+    calls a composite prime with probability below 4**-32."""
+    if n < SIEVE_LIMIT:
+        return SIEVE[n]
+    for p in SIEVE_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return False
+    rng = random.Random(n)
+    return all(strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(32))
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong test to base a (Miller)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# psi_k, the least odd composite that is a strong pseudoprime to each of
+# the first k prime bases (OEIS A014233), with its prime factors.
+PSI = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    8: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+    10: (3825123056546413051, (149491, 747451, 34233211)),
+    11: (3825123056546413051, (149491, 747451, 34233211)),
+    12: (318665857834031151167461, (399165290221, 798330580441)),
+    13: (3317044064679887385961981, (1287836182261, 2575672364521)),
+}
+FIRST_PRIMES = SIEVE_PRIMES[:13]
 
 
 def test_oracle_sanity():
@@ -105,15 +173,109 @@ def test_factor_int_large_semiprime_and_prime_power():
 
 
 def test_is_probable_prime_agrees_with_sieve():
-    limit = 2000
-    sieve = [True] * limit
-    sieve[0] = sieve[1] = False
-    for i in range(2, limit):
-        if sieve[i]:
-            for j in range(i * i, limit, i):
-                sieve[j] = False
-    for n in range(limit):
-        assert is_probable_prime(n) == sieve[n], n
+    # Crosses psi_1 = 2047, where the test goes from one base to two.
+    for n in range(SIEVE_LIMIT):
+        assert is_probable_prime(n) == SIEVE[n], n
+
+
+def test_reference_is_prime_sanity():
+    assert reference_is_prime(2**31 - 1)
+    assert reference_is_prime(2**61 - 1)
+    assert reference_is_prime(2**89 - 1)
+    assert not reference_is_prime((2**31 - 1) * (2**61 - 1))
+    assert not reference_is_prime(PSI[13][0])
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_psi_k_is_rejected_though_the_first_k_bases_pass_it(k):
+    n, primes = PSI[k]
+    p = 1
+    for q in primes:
+        assert reference_is_prime(q)
+        p *= q
+    assert p == n
+    # So a test that stopped after k bases would call n prime.
+    assert all(strong_probable_prime(n, a) for a in FIRST_PRIMES[:k])
+    assert not is_probable_prime(n)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_probable_prime_near_psi_k(k):
+    # Each psi_k is where the test adds a base.  The window holds the
+    # nearest primes on both sides, which must be accepted.
+    n = PSI[k][0]
+    window = range(n - 300, n + 301)
+    primes = [m for m in window if reference_is_prime(m)]
+    assert min(primes) < n < max(primes)
+    for m in window:
+        assert is_probable_prime(m) == reference_is_prime(m), m
+
+
+def test_psi_12_factors_and_prints_both_primes():
+    # Bases 2 to 37 alone call psi_12 prime; base 41 exposes it.
+    n = PSI[12][0]
+    pf = factor_int(n)
+    assert (pf.sign, pf.factors) == (1, ((399165290221, 1), (798330580441, 1)))
+    assert remult(pf) == n
+    proc = subprocess.run(
+        [sys.executable, "-m", "microcas", "factor", str(n)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "1 * (399165290221^1 * 798330580441^1)"
+
+
+TABLE_EDGE = [
+    65521**2,  # the largest table prime, squared
+    65521 * 65537,  # ... times the first prime past the table
+    65537**2,
+    65521**2 * 65537,
+    2 * 65537,
+    65536,
+    65537 * 65539,
+    *range(2**32 - 16, 2**32 + 17),
+    4294967311,  # the least prime above 2**32
+    3 * 4294967311,
+    65521 * 4294967311,
+    2**16 * 4294967311,
+]
+
+
+@pytest.mark.parametrize("n", TABLE_EDGE)
+def test_factor_int_matches_oracle_at_the_table_limit(n):
+    pf = factor_int(n)
+    assert (pf.sign, pf.factors) == trial_division_oracle(n)
+
+
+PRIMES_15_17 = [p for p in SIEVE_PRIMES if p >= 1 << 15]
+
+
+@given(st.sampled_from(PRIMES_15_17), st.sampled_from(PRIMES_15_17))
+@settings(max_examples=100, deadline=None)
+def test_factor_int_on_two_primes_across_the_table_limit(p, q):
+    pf = factor_int(p * q)
+    assert (pf.sign, pf.factors) == trial_division_oracle(p * q)
+
+
+def test_importing_microcas_leaves_the_prime_table_unbuilt():
+    # The sieve costs about a millisecond; only factoring may pay for it,
+    # not `import microcas` or a CLI subcommand that never factors.
+    code = (
+        "import contextlib, io, microcas\n"
+        "from microcas import cli, factoring\n"
+        "assert factoring._small_primes.cache_info().currsize == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['norm-expr', 'x + 1/x'])\n"
+        "    cli.main(['diff', 'sin(x) * x'])\n"
+        "print(factoring._small_primes.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_divisors_of_perfect_number():
