@@ -116,9 +116,9 @@ def is_probable_prime(n: int) -> bool:
     So a 20-bit n takes two bases and a 64-bit one at most twelve, and
     the answer is exact below psi_13 = 3317044064679887385961981 (about
     3.3e24).  Bases 2 to 37 alone are exact only below psi_12 =
-    318665857834031151167461 = 399165290221 * 798330580441.  From psi_13 on,
-    all 14 bases (2 to 43) run, which rejects psi_13 itself, and True
-    means probable prime.
+    318665857834031151167461 = 399165290221 * 798330580441.  From
+    psi_13 on, all 14 bases (2 to 43) run, which rejects psi_13 itself,
+    and True means probable prime.
     """
     if n < 2:
         return False

@@ -5,6 +5,7 @@ oracle defined below (written before the implementation was consulted).
 
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
@@ -189,11 +190,8 @@ def test_reference_is_prime_sanity():
 @pytest.mark.parametrize("k", sorted(PSI))
 def test_psi_k_is_rejected_though_the_first_k_bases_pass_it(k):
     n, primes = PSI[k]
-    p = 1
-    for q in primes:
-        assert reference_is_prime(q)
-        p *= q
-    assert p == n
+    assert math.prod(primes) == n
+    assert all(reference_is_prime(q) for q in primes)
     # So a test that stopped after k bases would call n prime.
     assert all(strong_probable_prime(n, a) for a in FIRST_PRIMES[:k])
     assert not is_probable_prime(n)
@@ -260,7 +258,7 @@ def test_factor_int_on_two_primes_across_the_table_limit(p, q):
 
 
 def test_importing_microcas_leaves_the_prime_table_unbuilt():
-    # The sieve costs about a millisecond; only factoring may pay for it,
+    # The sieve costs about 2 ms; only factoring may pay for it,
     # not `import microcas` or a CLI subcommand that never factors.
     code = (
         "import contextlib, io, microcas\n"
