@@ -7,13 +7,17 @@ integer operators and recognizes exactly those terms.  ``factor`` is
 the syntax-to-syntax operation: defined on numerals only.
 
 Algorithm: trial division by the 6,542 primes below 2**16 (sieved on
-first use, not at import), stopping once p*p exceeds what is left;
-whatever cofactor survives is split with Brent's variant of Pollard's
-rho, certifying primes with a Miller-Rabin test that runs as many prime
-bases as the size of n needs.  Up to 13 bases (2 to 41) make it exact
-below psi_13 = 3317044064679887385961981, about 3.3e24, so in particular
-for anything 64-bit; above that a 14th base (43) runs and a prime is
-probable.
+first use, not at import), stopping once p*p exceeds what is left; a
+block of 64 consecutive table primes whose product is prime to n is
+skipped with one gcd.  A cofactor that survives and is not prime is
+first tested for a perfect power; otherwise Brent's rho runs for a
+fixed budget of steps, and if that finds nothing, Lenstra's
+elliptic-curve method does, on a fixed schedule of stage bounds and
+curves whose last stage repeats.  Primes are certified by a
+Miller-Rabin test that runs as many prime bases as the size of n needs.
+Up to 13 bases (2 to 41) make it exact below psi_13 =
+3317044064679887385961981, about 3.3e24, so in particular for anything
+64-bit; above that a 14th base (43) runs and a prime is probable.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .terms import (
 )
 
 _TRIAL_LIMIT = 1 << 16
+_BLOCK = 64  # table primes per gcd block in the trial walk
 
 # integer operator constants (registering makes them well-typed)
 ADD_I: Const = register_constant("+", Arrow(INT, Arrow(INT, INT)))
@@ -143,48 +148,210 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, Brent's cycle variant.
-
-    The constant c steps deterministically, so runs are reproducible.
-    """
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
+def _sieve(limit: int) -> bytearray:
+    """flags[i] == 1 exactly when 0 <= i < limit is prime (Eratosthenes)."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return flags
 
 
 @functools.cache
-def _small_primes() -> tuple[int, ...]:
-    """The primes below _TRIAL_LIMIT, by a bytearray sieve on first use."""
-    sieve = bytearray([1]) * _TRIAL_LIMIT
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, _TRIAL_LIMIT, i)))
-    return tuple(itertools.compress(range(_TRIAL_LIMIT), sieve))
+def _small_primes() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The primes below _TRIAL_LIMIT in blocks of _BLOCK consecutive
+    ones, each block with its product; sieved on first use."""
+    primes = tuple(itertools.compress(range(_TRIAL_LIMIT), _sieve(_TRIAL_LIMIT)))
+    blocks = (primes[i : i + _BLOCK] for i in range(0, len(primes), _BLOCK))
+    return tuple((math.prod(b), b) for b in blocks)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with r**k == n and k > 1 least, else (n, 1).  n has no
+    prime factor below _TRIAL_LIMIT = 2**16, so k < n.bit_length() / 16."""
+    for k in range(2, n.bit_length() // 16 + 1):
+        r = math.isqrt(n) if k == 2 else _iroot(n, k)
+        if r**k == n:
+            return r, k
+    return n, 1
+
+
+# Brent's rho gives up once its cycle length r passes this, after about
+# 4,000 steps: enough for most factors of up to about 20 bits, where it
+# is cheaper than an elliptic curve.  Larger factors are left to _ecm.
+_RHO_BUDGET = 1 << 10
+
+
+def _rho(n: int) -> int | None:
+    """A nontrivial factor of odd composite n by Brent's variant of
+    Pollard's rho with x -> x*x + 1, or None within _RHO_BUDGET."""
+    y, m, g, r, q = 2, 128, 1, 1, 1
+    x = ys = y
+    while g == 1:
+        if r > _RHO_BUDGET:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + 1) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
+                y = (y * y + 1) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + 1) % n
+            g = math.gcd(x - ys, n)
+    return g if g != n else None
+
+
+# Elliptic-curve stages (B1, B2, curves): each curve runs stage 1 to B1
+# and stage 2 to B2, on a new sigma; after the last stage's curves that
+# stage runs again, so a factor always turns up.  B1 > D/2 keeps the
+# first giant step at m >= 1.
+_ECM_STAGES = ((200, 10_000, 20), (500, 50_000, 40), (2_000, 200_000, 60), (11_000, 1_100_000, 100))
+_ECM_D = 210
+# Odd j < D/2 prime to D: every prime q > 7 is m*D + j or m*D - j.
+_ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+
+
+@functools.cache
+def _ecm_stage(i: int) -> tuple[int, int, tuple[bytes, ...]]:
+    """The tables of stage _ECM_STAGES[i], built on first use: the
+    stage-1 multiplier lcm(1..B1), the first giant step m0, and for each
+    giant step m = m0, m0 + 1, ... the indices into _ECM_BABY of the j
+    with m*D - j or m*D + j a prime in (B1, B2]."""
+    b1, b2, _ = _ECM_STAGES[i]
+    flags = _sieve(b2 + 1)
+    k = 1
+    for p in itertools.compress(range(b1 + 1), flags[: b1 + 1]):
+        pe = p
+        while pe * p <= b1:
+            pe *= p
+        k *= pe
+    d = _ECM_D
+    m0 = (b1 + d // 2) // d
+    index = {j: i for i, j in enumerate(_ECM_BABY)}
+    steps: list[set[int]] = [set() for _ in range(m0, (b2 + d // 2) // d + 1)]
+    for q in itertools.compress(range(b1 + 1, b2 + 1), flags[b1 + 1 :]):
+        m = (q + d // 2) // d
+        steps[m - m0].add(index[abs(q - m * d)])
+    giants = tuple(bytes(sorted(s)) for s in steps)
+    return k, m0, giants
+
+
+def _ladder(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int, int, int]:
+    """k*P and (k+1)*P on the Montgomery curve with (A + 2)/4 = a24,
+    for P = (x : z) and k >= 1, as x-only projective coordinates."""
+    x1, z1 = x, z
+    s, d = (x + z) % n, (x - z) % n
+    ss, dd = s * s % n, d * d % n
+    t = ss - dd
+    x2, z2 = ss * dd % n, t * (dd + a24 * t) % n
+    for bit in bin(k)[3:]:
+        a, b = (x1 - z1) * (x2 + z2) % n, (x1 + z1) * (x2 - z2) % n
+        xa, za = z * (a + b) ** 2 % n, x * (a - b) ** 2 % n
+        if bit == "1":
+            s, d = x2 + z2, x2 - z2
+            x1, z1 = xa, za
+        else:
+            s, d = x1 + z1, x1 - z1
+            x2, z2 = xa, za
+        ss, dd = s * s % n, d * d % n
+        t = ss - dd
+        if bit == "1":
+            x2, z2 = ss * dd % n, t * (dd + a24 * t) % n
+        else:
+            x1, z1 = ss * dd % n, t * (dd + a24 * t) % n
+    return x1, z1, x2, z2
+
+
+def _ecm_curve(n: int, sigma: int, stage: tuple[int, int, tuple[bytes, ...]]) -> int:
+    """gcd(n, ...) from one curve, Suyama's curve for sigma: stage 1 by
+    an x-only ladder, then, if that gcd is 1, stage 2.  1 and n mean
+    this curve found no proper factor."""
+    k, m0, giants = stage
+    u, v = sigma * sigma - 5, 4 * sigma
+    c = 16 * u**3 * v**4 % n
+    try:
+        inv = pow(c, -1, n)
+    except ValueError:
+        return math.gcd(c, n)
+    x = 16 * u**6 * v * inv % n  # u^3 / v^3
+    a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inv % n  # (v-u)^3 (3u+v) / (16 u^3 v)
+    x, z, _, _ = _ladder(k, x, 1, n, a24)
+    g = math.gcd(z, n)
+    if g != 1:
+        return g
+    return _ecm_stage2(n, x, z, a24, m0, giants)
+
+
+def _ecm_stage2(n: int, x: int, z: int, a24: int, m0: int, giants: tuple[bytes, ...]) -> int:
+    """Baby-step/giant-step stage 2 from Q = (x : z): gcd(n, product of
+    x(m*D*Q) - x(j*Q) over the (m, j) that giants lists)."""
+    # baby steps: j*Q for odd j < D/2, from (j + 2)Q = jQ + 2Q
+    _, _, x2, z2 = _ladder(1, x, z, n, a24)
+    xs, zs = [], []
+    xp, zp, xj, zj = x, z, x, z  # (j - 2)Q and jQ, from j = 1: x(-Q) = x(Q)
+    for j in range(1, _ECM_D // 2, 2):
+        if math.gcd(j, _ECM_D) == 1:
+            xs.append(xj)
+            zs.append(zj)
+        a, b = (xj - zj) * (x2 + z2) % n, (xj + zj) * (x2 - z2) % n
+        xp, zp, xj, zj = xj, zj, zp * (a + b) ** 2 % n, xp * (a - b) ** 2 % n
+    # x(j*Q) made affine with one inversion (Montgomery's batch trick)
+    prefix = [1]
+    for zj in zs:
+        prefix.append(prefix[-1] * zj % n)
+    try:
+        inv = pow(prefix[-1], -1, n)
+    except ValueError:
+        return math.gcd(prefix[-1], n)
+    for i in range(len(zs) - 1, -1, -1):
+        xs[i] = xs[i] * prefix[i] % n * inv % n
+        inv = inv * zs[i] % n
+    # giant steps m*D*Q for m = m0, m0 + 1, ...; x(mDQ) = x(jQ) mod p
+    # when (mD - j)Q or (mD + j)Q is the identity mod p
+    xd, zd, _, _ = _ladder(_ECM_D, x, z, n, a24)
+    xm, zm, xn, zn = _ladder(m0, xd, zd, n, a24)
+    acc = 1
+    for idx in giants:
+        for i in idx:
+            acc = acc * (xm - xs[i] * zm) % n
+        a, b = (xn - zn) * (xd + zd) % n, (xn + zn) * (xd - zd) % n
+        xm, zm, xn, zn = xn, zn, zm * (a + b) ** 2 % n, xm * (a - b) ** 2 % n
+    return math.gcd(acc, n)
+
+
+def _ecm(n: int) -> int:
+    """A nontrivial factor of n, composite and not a perfect power, by
+    Lenstra's elliptic-curve method (Ann. Math. 1987) on Montgomery
+    curves (Math. Comp. 1987), with sigma = 6, 7, 8, ... in turn."""
+    sigma, i = 6, 0
+    while True:
+        stage = _ecm_stage(i)
+        for _ in range(_ECM_STAGES[i][2]):
+            g = _ecm_curve(n, sigma, stage)
+            sigma += 1
+            if 1 < g < n:
+                return g
+        i = min(i + 1, len(_ECM_STAGES) - 1)
 
 
 def _split(n: int, out: list[int]) -> None:
@@ -192,7 +359,13 @@ def _split(n: int, out: list[int]) -> None:
     if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(n):
         out.append(n)
         return
-    d = _brent_rho(n)
+    r, k = _perfect_power(n)
+    if k > 1:
+        primes: list[int] = []
+        _split(r, primes)
+        out.extend(primes * k)
+        return
+    d = _rho(n) or _ecm(n)
     _split(d, out)
     _split(n // d, out)
 
@@ -200,28 +373,30 @@ def _split(n: int, out: list[int]) -> None:
 def factor_int(n: int) -> "PrimeFactorization":
     """Sign and ordered prime powers of n; remult inverts it exactly."""
     if n == 0:
-        return PrimeFactorization(0, ())
+        return _factorization(0, ())
     sign = 1 if n > 0 else -1
     n = abs(n)
     powers: dict[int, int] = {}
     root = math.isqrt(n)
-    for p in _small_primes():
-        if p > root:
+    for prod, block in _small_primes():
+        if block[0] > root:
             break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            powers[p] = e
-            root = math.isqrt(n)
+        if math.gcd(prod, n) == 1:
+            continue
+        for p in block:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                powers[p] = e
+        root = math.isqrt(n)
     if n > 1:
         rest: list[int] = []
         _split(n, rest)
         for p in rest:
             powers[p] = powers.get(p, 0) + 1
-    factors = tuple(sorted(powers.items()))
-    return PrimeFactorization(sign, factors)
+    return _factorization(sign, tuple(sorted(powers.items())))
 
 
 @dataclass(frozen=True)
@@ -249,6 +424,15 @@ class PrimeFactorization:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
+
+
+def _factorization(sign: int, factors: tuple[tuple[int, int], ...]) -> PrimeFactorization:
+    """A PrimeFactorization from factors already known to be increasing
+    primes, without the public constructor's checks."""
+    pf = object.__new__(PrimeFactorization)
+    object.__setattr__(pf, "sign", sign)
+    object.__setattr__(pf, "factors", factors)
+    return pf
 
 
 def remult(pf: PrimeFactorization) -> int:

@@ -9,11 +9,13 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microcas import factoring
 from microcas.factoring import (
     PrimeFactorization,
     decomp_to_term,
@@ -257,23 +259,211 @@ def test_factor_int_on_two_primes_across_the_table_limit(p, q):
     assert (pf.sign, pf.factors) == trial_division_oracle(p * q)
 
 
+def prime_at_or_below(n: int) -> int:
+    while not reference_is_prime(n):
+        n -= 1
+    return n
+
+
+def oracle_of_product(*primes: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The oracle's factorization of a product of primes, each certified
+    by trial_division_oracle (cheap, because each factor is small)."""
+    powers: dict[int, int] = {}
+    for p in primes:
+        assert trial_division_oracle(p) == (1, ((p, 1),))
+        powers[p] = powers.get(p, 0) + 1
+    return 1, tuple(sorted(powers.items()))
+
+
+PRIMES_16_34 = st.integers(min_value=(1 << 16) + 2, max_value=1 << 34).map(prime_at_or_below)
+
+
+@given(PRIMES_16_34, PRIMES_16_34)
+@settings(max_examples=60, deadline=None)
+def test_factor_int_on_two_primes_past_the_table(p, q):
+    # Factors past about 2**20 outlast rho's budget and go to the curves.
+    pf = factor_int(p * q)
+    assert (pf.sign, pf.factors) == oracle_of_product(p, q)
+
+
+POWERS_PAST_THE_TABLE = [
+    (65537, 2),
+    (4294967311, 2),
+    (2**31 - 1, 3),
+    (65537, 5),
+    (2**61 - 1, 2),
+    (2**89 - 1, 2),  # no splitter would find an 89-bit factor
+]
+
+
+@pytest.mark.parametrize("p, e", POWERS_PAST_THE_TABLE)
+def test_prime_powers_past_the_table_need_no_splitter(p, e, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"splitter called on {n}")
+
+    monkeypatch.setattr(factoring, "_rho", refuse)
+    monkeypatch.setattr(factoring, "_ecm", refuse)
+    pf = factor_int(p**e)
+    assert (pf.sign, pf.factors) == (1, ((p, e),))
+
+
+def test_prime_power_times_a_prime_past_the_table():
+    p, q = 4294967311, 65537
+    pf = factor_int(p**2 * q**3)
+    assert pf.factors == ((q, 3), (p, 2))
+
+
+def test_products_of_three_17_bit_primes():
+    rng = random.Random(17)
+    primes = [p for p in SIEVE_PRIMES if p >= 1 << 16 and p < 1 << 17]
+    cases = [(65537, 65539, 65543), (131071, 131071, 65537)]
+    cases += [tuple(rng.sample(primes, 3)) for _ in range(20)]
+    for ps in cases:
+        n = math.prod(ps)
+        pf = factor_int(n)
+        assert (pf.sign, pf.factors) == oracle_of_product(*ps), n
+
+
+# Chernick's (6k+1)(12k+1)(18k+1) with all three factors prime: strong
+# liars to no base, but Fermat liars to every base prime to them.
+CARMICHAEL = [
+    (1171, 2341, 3511),  # k = 195, the least of this form above 2**32
+    (1237, 2473, 3709),
+    (65851, 131701, 197551),  # k = 10975, the first with all factors past the table
+    (66271, 132541, 198811),
+]
+
+
+@pytest.mark.parametrize("ps", CARMICHAEL)
+def test_carmichael_numbers_above_2_32(ps):
+    n = math.prod(ps)
+    assert n > 2**32
+    assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7))
+    assert not is_probable_prime(n)
+    pf = factor_int(n)
+    assert (pf.sign, pf.factors) == oracle_of_product(*ps)
+
+
+def test_a_curve_that_finds_all_of_n_in_stage_1_gives_way_to_the_next(monkeypatch):
+    # The first curve (sigma = 6) of the first stage reaches the identity
+    # in stage 1 modulo each of these primes, so its stage-1 gcd is n.
+    p, q = 131111, 131171
+    n = p * q
+    stage = factoring._ecm_stage(0)
+
+    def no_stage_2(*args):
+        raise AssertionError("stage 2 ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(factoring, "_ecm_stage2", no_stage_2)
+        assert factoring._ecm_curve(n, 6, stage) == n
+    assert factoring._ecm(n) in (p, q)
+    assert factor_int(n).factors == ((p, 1), (q, 1))
+
+
+def test_stage_2_finds_every_prime_order_in_its_range(monkeypatch):
+    # Modulo a prime p, stage 2 must reach the identity whenever the
+    # stage-1 point Q has a prime order q in (B1, B2]: checked against
+    # q*Q computed by the ladder for every such q.
+    p = 1048573
+    b1, b2, _ = factoring._ECM_STAGES[0]
+    stage = factoring._ecm_stage(0)
+    primes = [q for q in range(b1 + 1, b2 + 1) if SIEVE[q]]
+    stage_1_points = []
+    stage_2 = factoring._ecm_stage2
+
+    def record(n, x, z, a24, m0, giants):
+        stage_1_points.append((x, z, a24))
+        return stage_2(n, x, z, a24, m0, giants)
+
+    monkeypatch.setattr(factoring, "_ecm_stage2", record)
+    found = 0
+    for sigma in range(6, 46):
+        del stage_1_points[:]
+        g = factoring._ecm_curve(p, sigma, stage)
+        if not stage_1_points:
+            continue  # stage 1 already reached the identity
+        x, z, a24 = stage_1_points[0]
+        has_prime_order = any(
+            factoring._ladder(q, x, z, p, a24)[1] % p == 0 for q in primes
+        )
+        if has_prime_order:
+            assert g == p, sigma
+            found += 1
+    assert found >= 5
+
+
+def test_the_splitters_are_deterministic():
+    n = 4294967311 * 4294967357
+    assert factoring._rho(n) is None  # past rho's budget: the curves split it
+    d = factoring._ecm(n)
+    assert d in (4294967311, 4294967357)
+    assert factoring._ecm(n) == d
+    assert factor_int(n) == factor_int(n) == PrimeFactorization(
+        1, ((4294967311, 1), (4294967357, 1))
+    )
+
+
+def test_each_prime_past_2_32_is_tested_once(monkeypatch):
+    calls: list[int] = []
+    test = factoring.is_probable_prime
+
+    def counted(n):
+        calls.append(n)
+        return test(n)
+
+    monkeypatch.setattr(factoring, "is_probable_prime", counted)
+    p, q = 4294967311, 4294967357
+    assert factor_int(6 * p * q).factors == ((2, 1), (3, 1), (p, 1), (q, 1))
+    # the composite cofactor, then each prime once; none for 2 and 3
+    assert sorted(calls) == sorted([p * q, p, q])
+
+
+F7 = 2**128 + 1
+F7_FACTORS = ((59649589127497217, 1), (5704689200685129054721, 1))
+
+
+def test_f7_factors_within_budget():
+    # Rho alone needs about 2.4e8 steps for the 17-digit factor; the
+    # curves take about 2.5 s on a 2-CPU virtual machine.
+    start = time.perf_counter()
+    pf = factor_int(F7)
+    assert time.perf_counter() - start < 30.0
+    assert (pf.sign, pf.factors) == (1, F7_FACTORS)
+    assert remult(pf) == F7
+
+
+def test_cli_factors_f7():
+    proc = subprocess.run(
+        [sys.executable, "-m", "microcas", "factor", str(F7)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 * (59649589127497217^1 * 5704689200685129054721^1)"
+
+
 def test_importing_microcas_leaves_the_prime_table_unbuilt():
-    # The sieve costs about 2 ms; only factoring may pay for it,
-    # not `import microcas` or a CLI subcommand that never factors.
+    # The sieve and its block products cost about 2 ms, and the curve
+    # tables more; only factoring may pay for them, not `import microcas`
+    # or a CLI subcommand that never factors.
     code = (
         "import contextlib, io, microcas\n"
         "from microcas import cli, factoring\n"
-        "assert factoring._small_primes.cache_info().currsize == 0\n"
+        "def built():\n"
+        "    return [f.cache_info().currsize for f in (factoring._small_primes, factoring._ecm_stage)]\n"
+        "assert built() == [0, 0]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['norm-expr', 'x + 1/x'])\n"
         "    cli.main(['diff', 'sin(x) * x'])\n"
-        "print(factoring._small_primes.cache_info().currsize)\n"
+        "print(built())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.strip() == "[0, 0]"
 
 
 def test_divisors_of_perfect_number():
@@ -360,3 +550,13 @@ def test_prime_factorization_value_object():
     assert remult(pf) == 12
     assert remult(PrimeFactorization(0, ())) == 0
     assert remult(PrimeFactorization(-1, ((5, 1),))) == -5
+    # factor_int skips these checks; the public constructor keeps them
+    for sign, factors in (
+        (2, ()),
+        (0, ((2, 1),)),
+        (1, ((3, 1), (2, 1))),
+        (1, ((2, 0),)),
+        (1, ((65537 * 65539, 1),)),
+    ):
+        with pytest.raises(ValueError):
+            PrimeFactorization(sign, factors)
