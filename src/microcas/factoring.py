@@ -188,9 +188,9 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 # Brent's rho gives up once its cycle length r passes this, after about
-# 4,000 steps: enough for most factors of up to about 20 bits, where it
-# is cheaper than an elliptic curve.  Larger factors are left to _ecm.
-_RHO_BUDGET = 1 << 10
+# 8,000 steps: enough for most factors of up to about 24 bits, where it
+# is no dearer than the elliptic curves.  Larger factors are left to _ecm.
+_RHO_BUDGET = 1 << 11
 
 
 def _rho(n: int) -> int | None:
