@@ -1,16 +1,19 @@
 """Seeded random term generators and executable contract suites.
 
-Each check_* function runs one operation's formal contract over a
-batch of generated terms, one tally per contract branch, and returns a
-Report.  The defined branches are cross-checked against oracles that
-do not share code with the implementation under test: factoring is
-re-multiplied through the quotation kernel, normalization and quoted
-fractions are compared by cross-multiplying the unreduced flattened
-fractions, quoted rational terms and functions against a recursive
-denotation, derivatives against central differences.  A report only
-counts as ok when every branch was actually exercised, so a generator
-drifting away from an undefinedness path fails loudly instead of
-silently.
+Each check_* function is one operation's formal contract, written as a
+generator of cases: it draws terms from the seeded stream and yields one
+verdict per contract branch a term is held to, with the witness to print
+should it fail.  One runner, _run, tallies the verdicts into the
+branches the suite declares and builds the Report; the off-language
+branch comes from _off_language.  The defined branches are checked
+against oracles that do not share code with the implementation under
+test: factoring is re-multiplied through the quotation kernel,
+normalization and quoted fractions are compared by cross-multiplying the
+unreduced flattened fractions, quoted rational terms and functions
+against a recursive denotation, derivatives against central differences.
+A report only counts as ok when every branch was actually exercised, so
+a generator drifting away from an undefinedness path fails loudly
+instead of silently.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .terms import (
     Arrow,
@@ -68,10 +71,6 @@ class GenConfig:
             raise ValueError("cases must be at least 1")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be at least 1")
-
-
-def _off_language_cases(cfg: GenConfig) -> int:
-    return max(1, 2 * cfg.cases // 5)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +263,6 @@ def draw_non_member(rng: random.Random, target: str) -> SynTerm:
     return pool[rng.randrange(len(pool))]
 
 
-# seed-deterministic single-term entry points
-
-
-def gen_numeral(cfg: GenConfig) -> SynTerm:
-    return draw_numeral(random.Random(cfg.seed), cfg)
-
-
-def gen_rat_expr(cfg: GenConfig) -> SynTerm:
-    return draw_rat_expr(random.Random(cfg.seed), cfg)
-
-
-def gen_rat_fun(cfg: GenConfig) -> SynTerm:
-    return draw_rat_fun(random.Random(cfg.seed), cfg)
-
-
-def gen_diff_expr(cfg: GenConfig) -> SynTerm:
-    return draw_diff_expr(random.Random(cfg.seed), cfg)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -344,112 +324,110 @@ class Report:
 # ---------------------------------------------------------------------------
 # contract checks
 
+Verdict = tuple[str, bool, SynTerm, str]  # branch, ok, witness term and suffix
+
+
+def _run(
+    check: str,
+    cfg: GenConfig,
+    branches: tuple[str, ...],
+    cases: Callable[[random.Random], Iterator[Verdict]],
+) -> Report:
+    """Tally the verdicts that cases draws from the seeded stream into
+    the branches, declared up front in report order: a branch no case
+    reaches fails the report; an undeclared branch raises KeyError."""
+    tallies = {name: BranchTally(name) for name in branches}
+    for branch, ok, t, suffix in cases(random.Random(cfg.seed)):
+        if ok:  # the common case, counted without building a witness closure
+            tallies[branch].cases += 1
+        else:
+            tallies[branch].record(False, lambda: to_sexpr(t) + suffix)
+    return Report(check, cfg.seed, list(tallies.values()))
+
+
+def _off_language(
+    rng: random.Random, cfg: GenConfig, target: str, algorithm: Callable
+) -> Iterator[Verdict]:
+    """The undefined branch: the algorithm has no result on non-members
+    of its target language."""
+    for _ in range(max(1, 2 * cfg.cases // 5)):
+        s = draw_non_member(rng, target)
+        yield "undefined-off-language", algorithm(s) is None, s, ""
+
 
 def check_spec_factor(cfg: GenConfig) -> Report:
     """Factoring contract: on numerals the result is a prime
     decomposition denoting the same integer; off numerals there is no
     result."""
-    rng = random.Random(cfg.seed)
-    shape = BranchTally("prime-decomposition-shape")
-    value = BranchTally("value-agreement")
-    undef = BranchTally("undefined-off-language")
-    for _ in range(cfg.cases):
-        t = draw_numeral(rng, cfg)
-        d = fx.factor(t)
-        shape.record(
-            d is not None and fx.is_prime_decomp(d),
-            lambda: to_sexpr(t),
-        )
-        agreed = False
-        if d is not None:
-            got = eval_as(quote(d), INT)
-            agreed = isinstance(got, IntV) and got.value == t.value
-        value.record(agreed, lambda: to_sexpr(t))
-    for _ in range(_off_language_cases(cfg)):
-        s = draw_non_member(rng, "numeral")
-        undef.record(fx.factor(s) is None, lambda: to_sexpr(s))
-    return Report("factor", cfg.seed, [shape, value, undef])
+
+    def cases(rng: random.Random) -> Iterator[Verdict]:
+        for _ in range(cfg.cases):
+            t = draw_numeral(rng, cfg)
+            d = fx.factor(t)
+            yield "prime-decomposition-shape", d is not None and fx.is_prime_decomp(d), t, ""
+            got = None if d is None else eval_as(quote(d), INT)
+            yield "value-agreement", isinstance(got, IntV) and got.value == t.value, t, ""
+        yield from _off_language(rng, cfg, "numeral", fx.factor)
+
+    branches = ("prime-decomposition-shape", "value-agreement", "undefined-off-language")
+    return _run("factor", cfg, branches, cases)
 
 
 def _values_cross_match(t: SynTerm, n: SynTerm) -> bool:
     """Quasi-equality of two rational expressions' field values through
     the unreduced route: same definedness, and numerator/denominator
     cross products equal when defined."""
-    ft = rq.flatten_raw(t)
-    fn = rq.flatten_raw(n)
-    if (ft is None) != (fn is None):
-        return False
-    if ft is None:
-        return True
+    ft, fn = rq.flatten_raw(t), rq.flatten_raw(n)
+    if ft is None or fn is None:
+        return ft is fn
     return ft[0] * fn[1] == fn[0] * ft[1]
 
 
 def check_spec_norm_rat_expr(cfg: GenConfig) -> Report:
     """Normalization contract: outputs are normal forms with the same
     field value (quasi-equality); no result off the language."""
-    rng = random.Random(cfg.seed)
-    normal = BranchTally("normal-on-output")
-    value = BranchTally("value-quasi-equality")
-    undef = BranchTally("undefined-off-language")
-    for _ in range(cfg.cases):
-        t = draw_rat_expr(rng, cfg)
-        n = rq.norm_rat_expr(t)
-        normal.record(n is not None and rq.is_norm(n), lambda: to_sexpr(t))
-        value.record(
-            n is not None and _values_cross_match(t, n),
-            lambda: to_sexpr(t),
-        )
-    for _ in range(_off_language_cases(cfg)):
-        s = draw_non_member(rng, "ratexpr")
-        undef.record(rq.norm_rat_expr(s) is None, lambda: to_sexpr(s))
-    return Report("norm-rat-expr", cfg.seed, [normal, value, undef])
 
+    def cases(rng: random.Random) -> Iterator[Verdict]:
+        for _ in range(cfg.cases):
+            t = draw_rat_expr(rng, cfg)
+            n = rq.norm_rat_expr(t)
+            yield "normal-on-output", n is not None and rq.is_norm(n), t, ""
+            yield "value-quasi-equality", n is not None and _values_cross_match(t, n), t, ""
+        yield from _off_language(rng, cfg, "ratexpr", rq.norm_rat_expr)
 
-def _sample_points(
-    rng: random.Random, body: SynTerm, extra: int
-) -> list[Fraction]:
-    points = set(rq.singular_points(body))
-    for _ in range(extra):
-        points.add(Fraction(rng.randint(-60, 60), rng.randint(1, 6)))
-    return sorted(points)
+    branches = ("normal-on-output", "value-quasi-equality", "undefined-off-language")
+    return _run("norm-rat-expr", cfg, branches, cases)
 
 
 def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
     """Function-normalization contract: outputs are rational functions
     in quasinormal form computing the same partial function, checked at
     every rational singularity of the input plus random points."""
-    rng = random.Random(cfg.seed)
-    shape = BranchTally("output-is-function")
-    quasi = BranchTally("body-quasinormal")
-    pointwise = BranchTally("pointwise-quasi-equality")
-    undef = BranchTally("undefined-off-language")
-    for _ in range(cfg.cases):
-        f = draw_rat_fun(rng, cfg)
-        g = rq.norm_rat_fun(f)
-        # f is a rational function whenever g exists, and g is checked
-        # here once, so the points compare bodies directly.
-        is_fun = g is not None and rq.is_rat_fun(g)
-        shape.record(is_fun, lambda: to_sexpr(f))
-        quasi.record(
-            g is not None and rq.is_quasinorm(rq.body(g)),
-            lambda: to_sexpr(f),
-        )
-        agreed = is_fun
-        bad_point: Optional[Fraction] = None
-        if is_fun:
-            pf, pg = rq.compile_rat(f.body), rq.compile_rat(g.body)
-            for a in _sample_points(rng, f.body, 50):
-                if pf(a) != pg(a):
-                    agreed = False
-                    bad_point = a
-                    break
-        pointwise.record(
-            agreed, lambda: f"{to_sexpr(f)} at x = {bad_point}"
-        )
-    for _ in range(_off_language_cases(cfg)):
-        s = draw_non_member(rng, "ratfun")
-        undef.record(rq.norm_rat_fun(s) is None, lambda: to_sexpr(s))
-    return Report("norm-rat-fun", cfg.seed, [shape, quasi, pointwise, undef])
+
+    def cases(rng: random.Random) -> Iterator[Verdict]:
+        for _ in range(cfg.cases):
+            f = draw_rat_fun(rng, cfg)
+            g = rq.norm_rat_fun(f)
+            # f is a rational function whenever g exists, and g is checked
+            # here once, so the points compare bodies directly.
+            is_fun = g is not None and rq.is_rat_fun(g)
+            yield "output-is-function", is_fun, f, ""
+            yield "body-quasinormal", g is not None and rq.is_quasinorm(rq.body(g)), f, ""
+            bad = None
+            if is_fun:
+                pf, pg = rq.compile_rat(f.body), rq.compile_rat(g.body)
+                points = set(rq.singular_points(f.body))
+                for _ in range(50):
+                    points.add(Fraction(rng.randint(-60, 60), rng.randint(1, 6)))
+                bad = next((a for a in sorted(points) if pf(a) != pg(a)), None)
+            yield "pointwise-quasi-equality", is_fun and bad is None, f, f" at x = {bad}"
+        yield from _off_language(rng, cfg, "ratfun", rq.norm_rat_fun)
+
+    branches = (
+        "output-is-function", "body-quasinormal", "pointwise-quasi-equality",
+        "undefined-off-language",
+    )
+    return _run("norm-rat-fun", cfg, branches, cases)
 
 
 _DIFF_GRID = [-2.5 + 5.0 * i / 24 for i in range(25)]
@@ -459,26 +437,18 @@ def check_spec_diff(cfg: GenConfig) -> Report:
     """Differentiation contract: the derivative stays in the language
     and matches the convergent central-difference estimate wherever
     that estimate exists; no result off the language."""
-    rng = random.Random(cfg.seed)
-    closure = BranchTally("derivative-in-language")
-    pointwise = BranchTally("pointwise-agreement")
-    undef = BranchTally("undefined-off-language")
-    for _ in range(cfg.cases):
-        t = draw_diff_expr(rng, cfg)
-        rep = dr.check_spec_diff(t, _DIFF_GRID)
-        closure.record(dr.is_diff_expr(rep.derivative), lambda: to_sexpr(t))
-        pointwise.record(
-            rep.ok,
-            lambda: (
-                f"{to_sexpr(t)} at x = {rep.violations[0].point}"
-                if rep.violations
-                else to_sexpr(t)
-            ),
-        )
-    for _ in range(_off_language_cases(cfg)):
-        s = draw_non_member(rng, "diffexpr")
-        undef.record(dr.diff(s) is None, lambda: to_sexpr(s))
-    return Report("diff", cfg.seed, [closure, pointwise, undef])
+
+    def cases(rng: random.Random) -> Iterator[Verdict]:
+        for _ in range(cfg.cases):
+            t = draw_diff_expr(rng, cfg)
+            rep = dr.check_spec_diff(t, _DIFF_GRID)
+            yield "derivative-in-language", dr.is_diff_expr(rep.derivative), t, ""
+            at = "" if rep.ok else f" at x = {rep.violations[0].point}"
+            yield "pointwise-agreement", rep.ok, t, at
+        yield from _off_language(rng, cfg, "diffexpr", dr.diff)
+
+    branches = ("derivative-in-language", "pointwise-agreement", "undefined-off-language")
+    return _run("diff", cfg, branches, cases)
 
 
 def _int_denote(t: SynTerm) -> Optional[int]:
@@ -537,76 +507,57 @@ def _rat_denote(t: SynTerm, x: Optional[Fraction] = None) -> Optional[Fraction]:
 def check_disquotation(cfg: GenConfig) -> Report:
     """Quotation law: evaluating the quotation of a term at its own
     type yields the term's denotation; at any other type, nothing."""
-    rng = random.Random(cfg.seed)
-    ints = BranchTally("integer-denotation")
-    rats = BranchTally("rational-denotation")
-    fracs = BranchTally("fraction-denotation")
-    funs = BranchTally("function-denotation")
-    syntax = BranchTally("syntax-identity")
-    mismatch = BranchTally("type-mismatch-undefined")
 
-    for _ in range(cfg.cases):
-        t = draw_int_expr(rng, cfg)
-        want = _int_denote(t)
-        got = eval_as(quote(t), INT)
-        ints.record(
-            want is not None
-            and isinstance(got, IntV)
-            and got.value == want,
-            lambda: to_sexpr(t),
-        )
+    def cases(rng: random.Random) -> Iterator[Verdict]:
+        for _ in range(cfg.cases):
+            t = draw_int_expr(rng, cfg)
+            want = _int_denote(t)
+            got = eval_as(quote(t), INT)
+            ok = want is not None and isinstance(got, IntV) and got.value == want
+            yield "integer-denotation", ok, t, ""
 
-    for _ in range(cfg.cases):
-        t = draw_closed_rat(rng, cfg)
-        want = _rat_denote(t)
-        got = eval_as(quote(t), RAT)
-        if want is None:
-            ok = got is None
-        else:
-            ok = isinstance(got, RatV) and got.value == want
-        rats.record(ok, lambda: to_sexpr(t))
+        for _ in range(cfg.cases):
+            t = draw_closed_rat(rng, cfg)
+            want = _rat_denote(t)
+            got = eval_as(quote(t), RAT)
+            ok = got is None if want is None else isinstance(got, RatV) and got.value == want
+            yield "rational-denotation", ok, t, ""
 
-    for _ in range(cfg.cases):
-        t = draw_rat_expr(rng, cfg)
-        ft = rq.flatten_raw(t)
-        got = eval_as(quote(t), FRAC)
-        if ft is None:
-            ok = got is None
-        else:
-            ok = isinstance(got, FracV) and ft[0] * got.value.den == got.value.num * ft[1]
-        fracs.record(ok, lambda: to_sexpr(t))
+        for _ in range(cfg.cases):
+            t = draw_rat_expr(rng, cfg)
+            ft = rq.flatten_raw(t)
+            got = eval_as(quote(t), FRAC)
+            ok = got is None if ft is None else (
+                isinstance(got, FracV) and ft[0] * got.value.den == got.value.num * ft[1]
+            )
+            yield "fraction-denotation", ok, t, ""
 
-    qq = Arrow(RAT, RAT)
-    for _ in range(cfg.cases):
-        f = draw_rat_fun(rng, cfg)
-        got = eval_as(quote(f), qq)
-        ok = isinstance(got, FnQQ) and got.term == f
-        if ok:
-            for a in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)):
-                if got(a) != _rat_denote(f.body, a):
-                    ok = False
-                    break
-        funs.record(ok, lambda: to_sexpr(f))
+        qq = Arrow(RAT, RAT)
+        points = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3))
+        for _ in range(cfg.cases):
+            f = draw_rat_fun(rng, cfg)
+            got = eval_as(quote(f), qq)
+            ok = (
+                isinstance(got, FnQQ)
+                and got.term == f
+                and all(got(a) == _rat_denote(f.body, a) for a in points)
+            )
+            yield "function-denotation", ok, f, ""
 
-    for _ in range(cfg.cases):
-        t = draw_rat_expr(rng, cfg)
-        got = eval_as(quote(quote(t)), SYNTAX)
-        syntax.record(
-            isinstance(got, TermV) and got.term == t, lambda: to_sexpr(t)
-        )
+        for _ in range(cfg.cases):
+            t = draw_rat_expr(rng, cfg)
+            got = eval_as(quote(quote(t)), SYNTAX)
+            yield "syntax-identity", isinstance(got, TermV) and got.term == t, t, ""
 
-    for _ in range(max(1, cfg.cases // 5)):
-        t, ty = _mismatched_pair(rng, cfg)
-        mismatch.record(
-            eval_as(quote(t), ty) is None,
-            lambda: f"{to_sexpr(t)} read at {ty}",
-        )
+        for _ in range(max(1, cfg.cases // 5)):
+            t, ty = _mismatched_pair(rng, cfg)
+            yield "type-mismatch-undefined", eval_as(quote(t), ty) is None, t, f" read at {ty}"
 
-    return Report(
-        "disquotation",
-        cfg.seed,
-        [ints, rats, fracs, funs, syntax, mismatch],
+    branches = (
+        "integer-denotation", "rational-denotation", "fraction-denotation",
+        "function-denotation", "syntax-identity", "type-mismatch-undefined",
     )
+    return _run("disquotation", cfg, branches, cases)
 
 
 def _mentions_var(t: SynTerm) -> bool:

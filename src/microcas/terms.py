@@ -185,10 +185,6 @@ def register_constant(symbol: str, ty: SemType) -> Const:
     return _CONSTANTS.setdefault((symbol, ty), Const(symbol, ty))
 
 
-def constant_registered(symbol: str, ty: SemType) -> bool:
-    return (symbol, ty) in _CONSTANTS
-
-
 def register_evaluator(ty: SemType, fn: Callable[[SynTerm], Optional[Value]]) -> None:
     """Install the evaluator used by eval_as for terms aimed at ``ty``.
 
@@ -254,11 +250,6 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
 
 _APPLY = object()  # on infer_type's work stack, above an application's operands
 _ABSTRACT = object()  # above an abstraction's body, with its variable type under it
-
-
-def is_expr_of(t: SynTerm, ty: SemType) -> bool:
-    """True iff ``t`` is a well-typed expression of type ``ty``."""
-    return infer_type(t) == ty
 
 
 # ---------------------------------------------------------------------------

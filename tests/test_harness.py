@@ -15,19 +15,18 @@ from microcas.harness import (
     BranchTally,
     GenConfig,
     Report,
+    _run,
     check_all,
     draw_non_member,
     draw_numeral,
+    draw_diff_expr,
     draw_rat_expr,
-    gen_diff_expr,
-    gen_numeral,
-    gen_rat_expr,
-    gen_rat_fun,
+    draw_rat_fun,
 )
-from microcas.differentiation import is_diff_expr
+from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit
 from microcas.factoring import is_numeral
-from microcas.rational import is_rat_expr, is_rat_fun
-from microcas.terms import Lambda
+from microcas.rational import is_rat_expr, is_rat_fun, q_add, q_lit
+from microcas.terms import RAT, REAL, IntLit, IntV, Lambda
 
 
 def test_config_validation():
@@ -41,15 +40,16 @@ def test_config_validation():
     assert cfg.cases == 500 and cfg.max_depth == 6 and cfg.coeff_bound == 12
 
 
+def _draw(draw, seed):
+    return draw(random.Random(seed), GenConfig(seed=seed))
+
+
 def test_generators_are_seed_deterministic():
-    a = gen_rat_expr(GenConfig(seed=42))
-    b = gen_rat_expr(GenConfig(seed=42))
-    assert a == b
-    c = gen_rat_expr(GenConfig(seed=43))
-    assert a != c  # astronomically unlikely to collide
-    assert gen_diff_expr(GenConfig(seed=7)) == gen_diff_expr(GenConfig(seed=7))
-    assert gen_numeral(GenConfig(seed=7)) == gen_numeral(GenConfig(seed=7))
-    assert gen_rat_fun(GenConfig(seed=7)) == gen_rat_fun(GenConfig(seed=7))
+    a = _draw(draw_rat_expr, 42)
+    assert a == _draw(draw_rat_expr, 42)
+    assert a != _draw(draw_rat_expr, 43)  # astronomically unlikely to collide
+    for draw in (draw_diff_expr, draw_numeral, draw_rat_fun):
+        assert _draw(draw, 7) == _draw(draw, 7)
 
 
 def test_generators_hit_their_languages():
@@ -57,10 +57,10 @@ def test_generators_hit_their_languages():
     rng = random.Random(13)
     for _ in range(100):
         assert is_rat_expr(draw_rat_expr(rng, cfg))
-    assert is_numeral(gen_numeral(cfg))
-    f = gen_rat_fun(cfg)
+    assert is_numeral(_draw(draw_numeral, 13))
+    f = _draw(draw_rat_fun, 13)
     assert isinstance(f, Lambda) and is_rat_fun(f)
-    assert is_diff_expr(gen_diff_expr(cfg))
+    assert is_diff_expr(_draw(draw_diff_expr, 13))
 
 
 def test_non_members_stay_outside():
@@ -124,6 +124,87 @@ def test_failing_report_renders_counterexample():
     out = r.render()
     assert "FAIL" in out
     assert "the witness" in out
+
+
+def test_runner_fails_a_branch_no_case_reaches():
+    def cases(rng):
+        yield "reached", True, IntLit(1), ""
+
+    report = _run("demo", GenConfig(seed=0), ("reached", "unreached"), cases)
+    assert [(b.name, b.cases) for b in report.branches] == [("reached", 1), ("unreached", 0)]
+    assert not report.ok
+
+
+def test_runner_rejects_an_undeclared_branch():
+    def cases(rng):
+        yield "undeclared", True, IntLit(1), ""
+
+    with pytest.raises(KeyError):
+        _run("demo", GenConfig(seed=0), ("declared",), cases)
+
+
+# Rigged algorithms force each witness shape; the recorded reports under
+# tests/data all pass, so these are the only gates on the strings.
+_RIGGED = GenConfig(seed=2, cases=2, max_depth=2)
+
+
+def _rig(monkeypatch, module, name, wrong):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(real, *args))
+
+
+def _witnesses(check):
+    return {b.name: b.first_counterexample for b in CHECKS[check](_RIGGED).branches}
+
+
+def test_witness_is_the_input_sexpr(monkeypatch):
+    from microcas import factoring
+
+    _rig(monkeypatch, factoring, "factor", lambda real, t: None)
+    assert _witnesses("factor") == {
+        "prime-decomposition-shape": "(int 993869)",
+        "value-agreement": "(int 993869)",
+        "undefined-off-language": None,
+    }
+    monkeypatch.undo()
+    _rig(monkeypatch, factoring, "factor", lambda real, t: real(IntLit(6)))
+    assert _witnesses("factor")["undefined-off-language"] == "(var x real)"
+
+
+def test_norm_fun_witness_names_the_point(monkeypatch):
+    from microcas import rational
+
+    f = "(lam x rat (app (app (const * (rat -> (rat -> rat))) (var x rat)) (var x rat)))"
+    shifted = lambda real, t: real(t) and Lambda("x", RAT, q_add(real(t).body, q_lit(1)))  # noqa: E731
+    _rig(monkeypatch, rational, "norm_rat_fun", shifted)
+    assert _witnesses("norm-fun")["pointwise-quasi-equality"] == f"{f} at x = -31"
+    # An output that is no rational function has no point to name.
+    monkeypatch.undo()
+    _rig(monkeypatch, rational, "norm_rat_fun", lambda real, t: real(t) and Lambda("x", REAL, X_R))
+    assert _witnesses("norm-fun") == {
+        "output-is-function": f,
+        "body-quasinormal": f,
+        "pointwise-quasi-equality": f"{f} at x = None",
+        "undefined-off-language": None,
+    }
+
+
+def test_diff_witness_names_the_point(monkeypatch):
+    from microcas import differentiation
+
+    _rig(monkeypatch, differentiation, "diff", lambda real, t: real(t) and r_add(real(t), r_lit(1)))
+    assert _witnesses("diff") == {
+        "derivative-in-language": None,
+        "pointwise-agreement": "(app (const exp (real -> real)) (var x real)) at x = -2.5",
+        "undefined-off-language": None,
+    }
+
+
+def test_type_mismatch_witness_names_the_type(monkeypatch):
+    from microcas import harness
+
+    _rig(monkeypatch, harness, "eval_as", lambda real, q, ty: real(q, ty) or IntV(0))
+    assert _witnesses("disquote")["type-mismatch-undefined"] == "(int 646285) read at rat"
 
 
 def test_registered_checks_cover_all_contracts():

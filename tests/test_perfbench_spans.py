@@ -44,3 +44,34 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         tracer.uninstall()
     for (mod, name), fn in originals.items():
         assert getattr(importlib.import_module(f"microcas.{mod}"), name) is fn, f"{mod}.{name}"
+
+
+def test_tracer_sees_every_layer_the_suites_call():
+    """The suites look up their generators and algorithms at call time,
+    so a traced audit counts each call.  A function bound at import
+    where the tracer cannot swap it, in a tuple or a default argument,
+    would bypass the wrappers and zero these counts."""
+    from microcas import harness
+
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    try:
+        tracer.install(microcas)
+        for check in harness.CHECKS.values():
+            check(harness.GenConfig(seed=0, cases=5))
+    finally:
+        tracer.uninstall()
+    expected = {
+        "harness.draw_numeral": 5,
+        "harness.draw_non_member": 8,
+        "factoring.factor": 7,
+        "rational.norm_rat_expr": 7,
+        "rational.norm_rat_fun": 7,
+        "differentiation.check_spec_diff": 5,
+        "differentiation.diff": 7,
+        "terms.eval_as": 31,
+    }
+    for name in spans.TARGETS["harness"]:
+        if name.startswith("check_"):
+            expected[f"harness.{name}"] = 1
+    assert {name: tracer.total(name) for name in expected} == expected
