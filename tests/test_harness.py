@@ -17,9 +17,9 @@ from microcas.harness import (
     Report,
     _run,
     check_all,
+    draw_diff_expr,
     draw_non_member,
     draw_numeral,
-    draw_diff_expr,
     draw_rat_expr,
     draw_rat_fun,
 )
