@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from sys import getrefcount
 from typing import Optional
 
 from .terms import (
+    ONE_REFERRER,
     REAL,
     App,
     Arrow,
@@ -382,6 +384,7 @@ _UNARY = {
     TAN_R.symbol: _TAN,
 }
 _EMIT = object()  # on the work stack, above the op and operand of a step
+_KEEP = object()  # above a node with more than one referrer, to keep its id
 
 
 @dataclass(frozen=True)
@@ -476,12 +479,16 @@ def compile_real(t: SynTerm) -> Optional[RealProgram]:
     The pass is iterative, so term depth is bounded by memory only.
     Each literal is read once; one too large for a float becomes a step
     that is undefined everywhere.  Steps are numbered by value: a step
-    whose (op, i, j) triple already exists reuses its register.
+    whose (op, i, j) triple already exists reuses its register.  A node
+    with more than one referrer keeps its operand id, by ``id(node)``, so
+    each distinct node is lowered once and the pass is linear in the
+    number of distinct nodes.
     """
     init: list[float] = [0.0]
     literals: dict[str, int] = {}
     steps: list[tuple] = []
     numbering: dict[tuple, int] = {}
+    kept: dict[int, int] = {}
     uses_x = False
     # Operands are ids: -1 is x, -1 - k is init[k], k >= 0 is steps[k].
     ids: list[int] = []
@@ -497,7 +504,14 @@ def compile_real(t: SynTerm) -> Optional[RealProgram]:
                 k = numbering[key] = len(steps)
                 steps.append(key)
             ids.append(k)
+        elif node is _KEEP:
+            kept[id(todo.pop())] = ids[-1]
         elif isinstance(node, App):
+            if kept and id(node) in kept:
+                ids.append(kept[id(node)])
+                continue
+            if getrefcount(node) > ONE_REFERRER and node is not t:
+                todo += (node, _KEEP)
             f = node.fun
             if isinstance(f, Const):
                 op = _UNARY.get(f.symbol) if f.ty == _R1 else None

@@ -420,7 +420,8 @@ def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
                 for _ in range(50):
                     points.add(Fraction(rng.randint(-60, 60), rng.randint(1, 6)))
                 bad = next((a for a in sorted(points) if pf(a) != pg(a)), None)
-            yield "pointwise-quasi-equality", is_fun and bad is None, f, f" at x = {bad}"
+            at = "" if bad is None else f" at x = {bad}"
+            yield "pointwise-quasi-equality", is_fun and bad is None, f, at
         yield from _off_language(rng, cfg, "ratfun", rq.norm_rat_fun)
 
     branches = (

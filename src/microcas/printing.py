@@ -30,11 +30,20 @@ of pieces, each a string or a (subterm, level) slot.  The driver
 expands slots top-down on an explicit stack and parenthesizes a
 subterm whose level is below its slot's, so depth is bounded by memory
 only.
+
+The printers write a shared subterm out once per path, as the parser
+would read it back, so text grows with the tree, not the DAG.  What
+they compute about a subterm is computed once per distinct node: each
+``to_infix`` call keeps the length of every power chain it reads, by
+the identities of its base and rest, so printing the shared chains of
+a rendered polynomial reads each link once, and operands are compared
+by identity first, then with ``terms.same_term``.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Callable, Optional
 
 from .terms import (
@@ -52,6 +61,7 @@ from .terms import (
     match_unary,
     op_entry,
     op_table,
+    same_term,
     type_name,
 )
 from .parser import literal_value
@@ -97,24 +107,28 @@ def to_infix(t: SynTerm) -> str:
     Raises ValueError on trees with no infix form (quotations, bare
     operator constants, abstractions below the top level).
     """
+    chains: dict = {}
+    layout = partial(_infix, chains)
     if isinstance(t, Lambda):
         if t.var != "x":
             raise ValueError("only functions of x have an infix form")
-        return _write(_infix, ["fun x -> ", (t.body, 0)])
-    return _write(_infix, [(t, 0)])
+        return _write(layout, ["fun x -> ", (t.body, 0)])
+    return _write(layout, [(t, 0)])
 
 
-def _infix(t: SynTerm) -> Layout:
+def _infix(chains: dict, t: SynTerm) -> Layout:
+    """t's infix layout; ``chains`` holds the power-chain lengths this
+    ``to_infix`` call has read (see ``_as_power_chain``)."""
     if type(t) is App:
         f = t.fun
         if type(f) is App:
             make = op_entry(_INFIX_BINARY, f.fun)
             if make is not None:
-                return make(f.arg, t.arg)
+                return make(f.arg, t.arg, chains)
         else:
             make = op_entry(_INFIX_UNARY, f)
             if make is not None:
-                return make(t.arg)
+                return make(t.arg, chains)
         # Name the operator only: repr of the subtree recurses through it.
         head = f.fun if type(f) is App else f
         name = repr(head.symbol) if isinstance(head, Const) else type(head).__name__
@@ -137,10 +151,10 @@ def _infix(t: SynTerm) -> Layout:
     raise ValueError(f"no infix form for {t!r}")
 
 
-def _sum(neg: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
+def _sum(neg: Optional[Const]) -> Callable[[SynTerm, SynTerm, dict], Layout]:
     """a + b, or a - u for b = -u where the language spells '-' as sugar."""
 
-    def layout(a: SynTerm, b: SynTerm) -> Layout:
+    def layout(a: SynTerm, b: SynTerm, chains: dict) -> Layout:
         u = match_unary(b, neg) if neg is not None else None
         if u is not None:
             return _EXPR, [(a, _EXPR), " - ", (u, _TERM)]
@@ -149,11 +163,11 @@ def _sum(neg: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
     return layout
 
 
-def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
+def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm, dict], Layout]:
     """a * b, or a / d for b = inv(d) unless both are literals that
     "a / d" would fold into one."""
 
-    def layout(a: SynTerm, b: SynTerm) -> Layout:
+    def layout(a: SynTerm, b: SynTerm, chains: dict) -> Layout:
         d = match_unary(b, inv) if inv is not None else None
         if d is not None:
             dv = literal_value(d)
@@ -167,55 +181,78 @@ def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm], Layout]:
 _rat_quotient = _product(rq.INV_Q)
 
 
-def _rat_product(a: SynTerm, b: SynTerm) -> Layout:
-    n = _as_power_chain(a, b)
+def _rat_product(a: SynTerm, b: SynTerm, chains: dict) -> Layout:
+    n = _as_power_chain(a, b, chains)
     if n is not None:
         return _POWER, [(a, _ATOM), f"^{n}"]
-    return _rat_quotient(a, b)
+    return _rat_quotient(a, b, chains)
 
 
-def _rat_inverse(u: SynTerm) -> Layout:
+def _rat_inverse(u: SynTerm, chains: dict) -> Layout:
     parts = match_binary(u, rq.MUL_Q)
-    n = _as_power_chain(*parts) if parts is not None else None
+    n = _as_power_chain(*parts, chains) if parts is not None else None
     if n is None:
         return _POWER, [(u, _ATOM), "^-1"]
     return _POWER, [(parts[0], _ATOM), f"^-{n}"]
 
 
-def _power(base: SynTerm, exponent: SynTerm) -> Layout:
+def _power(base: SynTerm, exponent: SynTerm, chains: dict) -> Layout:
     c = literal_value(exponent)
     if c is None:
         raise ValueError("no infix form for a power with a compound exponent")
     return _POWER, [(base, _ATOM), f"^{c}" if c.denominator == 1 else f"^({c})"]
 
 
-def _negation(u: SynTerm) -> Layout:
+def _negation(u: SynTerm, chains: dict) -> Layout:
     return _UNARY, ["-", (u, _UNARY)]
 
 
-def _call(name: str) -> Callable[[SynTerm], Layout]:
-    return lambda u: (_ATOM, [f"{name}(", (u, 0), ")"])
+def _call(name: str) -> Callable[[SynTerm, dict], Layout]:
+    return lambda u, chains: (_ATOM, [f"{name}(", (u, 0), ")"])
 
 
-def _as_power_chain(base: SynTerm, rest: SynTerm) -> Optional[int]:
+def _as_power_chain(base: SynTerm, rest: SynTerm, chains: dict) -> Optional[int]:
     """The number of factors if base * rest is base*(base*(...*base)),
-    the shape integer powers expand to in the rational language."""
-    n = 2
+    the shape integer powers expand to in the rational language.
+
+    ``chains`` maps (id(base), id(rest)), for a product rest, to the
+    number of factors base has in rest, 0 when rest is no such chain;
+    every link this call walks is added, so a chain shared by many
+    products is walked once.
+    """
+    links = []
     while True:
         inner = match_binary(rest, rq.MUL_Q)
         if inner is None:
-            return n if rest is base or rest == base else None
-        if not (inner[0] is base or inner[0] == base):
-            return None
+            n = int(_same(rest, base))
+            break
+        key = (id(base), id(rest))
+        n = chains.get(key)
+        if n is not None:
+            break
+        if not _same(inner[0], base):
+            n = chains[key] = 0
+            break
+        links.append(key)
         rest = inner[1]
-        n += 1
+    for key in reversed(links):
+        if n:
+            n += 1
+        chains[key] = n
+    return n + 1 if n else None
+
+
+def _same(a: SynTerm, b: SynTerm) -> bool:
+    """a == b, by identity first: ``same_term`` walks only two nodes of
+    one type."""
+    return a is b or (type(a) is type(b) and same_term(a, b))
 
 
 _INFIX_BINARY = op_table({
     fx.ADD_I: _sum(fx.NEG_I),
     rq.ADD_Q: _sum(rq.NEG_Q),
     dr.ADD_R: _sum(None),
-    dr.SUB_R: lambda a, b: (_EXPR, [(a, _EXPR), " - ", (b, _TERM)]),
+    dr.SUB_R: lambda a, b, chains: (_EXPR, [(a, _EXPR), " - ", (b, _TERM)]),
     fx.MUL_I: _product(None),
     rq.MUL_Q: _rat_product,
     dr.MUL_R: _product(dr.INV_R),

@@ -41,11 +41,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from sys import getrefcount
 from typing import Callable, Optional
 
 from .polynomials import ONE, Poly, X, ZERO, linear_part, poly_gcd, rational_roots
 from .terms import (
     FRAC,
+    ONE_REFERRER,
     RAT,
     App,
     Arrow,
@@ -206,6 +208,8 @@ class CanonicalFraction:
     t = n1 (d2/g) + n2 (d1/g).  Every quotient of monic polynomials is
     monic, so results need no rescaling; ``inv`` rescales by the
     numerator's leading coefficient and ``-`` negates the numerator.
+    Polynomials, the fractions over 1, take no gcd at all in ``+`` and
+    ``*``: a monic denominator of degree 0 is 1.
     """
 
     num: Poly
@@ -235,6 +239,9 @@ class CanonicalFraction:
 
     def __add__(self, other: "CanonicalFraction") -> "CanonicalFraction":
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1.degree == 0 and d2.degree == 0:
+            num = n1 + n2
+            return _ZERO_FRAC if num.is_zero() else _canonical(num, ONE)
         g = poly_gcd(d1, d2)
         if g.degree != 0:
             d1, d2 = d1 // g, d2 // g
@@ -252,6 +259,8 @@ class CanonicalFraction:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if n1.is_zero() or n2.is_zero():
             return _ZERO_FRAC
+        if d1.degree == 0 and d2.degree == 0:
+            return _canonical(n1 * n2, ONE)
         g1, g2 = poly_gcd(n1, d2), poly_gcd(n2, d1)
         if g1.degree != 0:
             n1, d2 = n1 // g1, d2 // g1
@@ -313,6 +322,7 @@ _ADD, _MUL, _NEG, _INV = range(4)
 _STEP_BINARY = op_table({ADD_Q: _ADD, MUL_Q: _MUL})
 _STEP_UNARY = op_table({NEG_Q: _NEG, INV_Q: _INV})
 _EMIT = object()  # on the work stack, above the opcode of a step
+_KEEP = object()  # above a node with more than one referrer, to keep its id
 # A register whose denominator passes 4096 bits is reduced by its gcd.
 # Below that the pairs stay unreduced, since a gcd per step costs more
 # than the larger products it saves.  A common factor of a pair divides
@@ -378,13 +388,16 @@ def compile_rat(t: SynTerm) -> RatProgram:
     Operators are read through ``op_entry``, so a copy of a registered
     constant counts.  Each distinct literal is read once, and steps are
     numbered by value: a step whose (op, i, j) triple already exists
-    reuses its register.
+    reuses its register.  A node with more than one referrer keeps its
+    operand id, by ``id(node)``, so each distinct node is lowered once
+    and the pass is linear in the number of distinct nodes.
     """
     nums: list[int] = [0]
     dens: list[int] = [1]
     literals: dict[tuple[int, int], int] = {}
     steps: list[tuple] = []
     numbering: dict[tuple, int] = {}
+    kept: dict[int, int] = {}
     # Operands are ids: ~k (that is, -1 - k) is register k, x or a
     # literal, and k >= 0 is steps[k].
     ids: list[int] = []
@@ -401,13 +414,20 @@ def compile_rat(t: SynTerm) -> RatProgram:
                 k = numbering[key] = len(steps)
                 steps.append(key)
             push(k)
+        elif node is _KEEP:
+            kept[id(pop())] = ids[-1]
         elif type(node) is App:
+            if kept and id(node) in kept:
+                push(kept[id(node)])
+                continue
             f = node.fun
             if type(f) is App:
                 op = _STEP_BINARY.get(id(f.fun))
                 if op is None:
                     op = op_entry(_STEP_BINARY, f.fun)
                 if op is not None:
+                    if getrefcount(node) > ONE_REFERRER and node is not t:
+                        todo += (node, _KEEP)
                     todo += (op, _EMIT, node.arg, f.arg)
                     continue
             else:
@@ -415,6 +435,8 @@ def compile_rat(t: SynTerm) -> RatProgram:
                 if op is None:
                     op = op_entry(_STEP_UNARY, f)
                 if op is not None:
+                    if getrefcount(node) > ONE_REFERRER and node is not t:
+                        todo += (node, _KEEP)
                     todo += (op, _EMIT, node.arg)
                     continue
             raise NotInLanguage("not a rational expression")

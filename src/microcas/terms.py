@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from sys import getrefcount
 from typing import Callable, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -275,8 +276,11 @@ def same_term(a: SynTerm, b: SynTerm) -> bool:
     """Structural equality of two terms, as ``==`` gives it, but on an
     explicit stack, so depth is bounded by memory only (dataclass ``==``
     recurses once per level).  A node shared by both sides is equal
-    without a walk."""
+    without a walk, and each distinct pair of applications is compared
+    once, so the walk is linear in the number of distinct nodes even
+    where shared subterms make the trees exponentially larger."""
     todo = [(a, b)]
+    seen: set[tuple[int, int]] = set()
     while todo:
         a, b = todo.pop()
         if a is b:
@@ -284,6 +288,10 @@ def same_term(a: SynTerm, b: SynTerm) -> bool:
         if type(a) is not type(b):
             return False
         if type(a) is App:
+            pair = (id(a), id(b))
+            if pair in seen:
+                continue
+            seen.add(pair)
             todo += ((a.arg, b.arg), (a.fun, b.fun))
         elif type(a) is Lambda:
             if a.var != b.var or a.var_ty != b.var_ty:
@@ -318,6 +326,14 @@ def op_entry(table: dict[int, Callable], c: SynTerm) -> Optional[Callable]:
 
 _UNARY_STEP = object()  # on fold's work stack, above the operator to apply
 _BINARY_STEP = object()
+_KEEP = object()  # above an operator node whose value fold keeps
+
+# What sys.getrefcount reads for a node that a walk has just popped into
+# one local name, when one operand slot refers to the node: that slot,
+# the local and getrefcount's own argument.  A larger count means another
+# referrer, so the walk may reach the node again; the walk's root, which
+# its caller holds, it never reaches again.
+ONE_REFERRER = 3
 
 
 def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
@@ -330,22 +346,39 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
     visited left to right, on an explicit stack, so term depth is bounded
     by memory only.  ``leaf`` may raise NotInLanguage.  The tables come
     from ``op_table``; a miss by identity goes to ``op_entry``.
+
+    Each distinct operator node is folded once, so the walk is linear in
+    the number of distinct nodes, however often a subterm is shared.
+    The value of a node that more than one place refers to is kept by
+    ``id(node)`` and reused wherever the walk reaches the node again; a
+    node with one referrer, as in a plain tree, keeps nothing.  The
+    referrer count only decides what is kept: a node whose value was not
+    kept is folded again, to the same value, since operators and
+    ``leaf`` must be pure.
     """
     vals: list = []
     todo: list = [t]
     pop = todo.pop
+    kept: dict[int, object] = {}
     while todo:
         node = pop()
         if type(node) is App:
+            if kept and id(node) in kept:
+                vals.append(kept[id(node)])
+                continue
             f = node.fun
             if type(f) is App:
                 op = binary.get(id(f.fun)) or op_entry(binary, f.fun)
                 if op is not None:
+                    if getrefcount(node) > ONE_REFERRER and node is not t:
+                        todo += (node, _KEEP)
                     todo += (op, _BINARY_STEP, node.arg, f.arg)
                     continue
             else:
                 op = unary.get(id(f)) or op_entry(unary, f)
                 if op is not None:
+                    if getrefcount(node) > ONE_REFERRER and node is not t:
+                        todo += (node, _KEEP)
                     todo += (op, _UNARY_STEP, node.arg)
                     continue
             vals.append(leaf(node))
@@ -358,6 +391,8 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
             b = vals.pop()
             a = vals[-1]
             vals[-1] = None if a is None or b is None else op(a, b)
+        elif node is _KEEP:
+            kept[id(pop())] = vals[-1]
         else:
             vals.append(leaf(node))
     return vals[0]

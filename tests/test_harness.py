@@ -184,7 +184,7 @@ def test_norm_fun_witness_names_the_point(monkeypatch):
     assert _witnesses("norm-fun") == {
         "output-is-function": f,
         "body-quasinormal": f,
-        "pointwise-quasi-equality": f"{f} at x = None",
+        "pointwise-quasi-equality": f,
         "undefined-off-language": None,
     }
 
