@@ -240,8 +240,7 @@ class CanonicalFraction:
     def __add__(self, other: "CanonicalFraction") -> "CanonicalFraction":
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1.degree == 0 and d2.degree == 0:
-            num = n1 + n2
-            return _ZERO_FRAC if num.is_zero() else _canonical(num, ONE)
+            return _canonical(n1 + n2, ONE)
         g = poly_gcd(d1, d2)
         if g.degree != 0:
             d1, d2 = d1 // g, d2 // g
@@ -420,14 +419,14 @@ def compile_rat(t: SynTerm) -> RatProgram:
             if kept and id(node) in kept:
                 push(kept[id(node)])
                 continue
+            if getrefcount(node) > ONE_REFERRER and node is not t:
+                todo += (node, _KEEP)
             f = node.fun
             if type(f) is App:
                 op = _STEP_BINARY.get(id(f.fun))
                 if op is None:
                     op = op_entry(_STEP_BINARY, f.fun)
                 if op is not None:
-                    if getrefcount(node) > ONE_REFERRER and node is not t:
-                        todo += (node, _KEEP)
                     todo += (op, _EMIT, node.arg, f.arg)
                     continue
             else:
@@ -435,8 +434,6 @@ def compile_rat(t: SynTerm) -> RatProgram:
                 if op is None:
                     op = op_entry(_STEP_UNARY, f)
                 if op is not None:
-                    if getrefcount(node) > ONE_REFERRER and node is not t:
-                        todo += (node, _KEEP)
                     todo += (op, _EMIT, node.arg)
                     continue
             raise NotInLanguage("not a rational expression")

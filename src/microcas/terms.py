@@ -326,7 +326,7 @@ def op_entry(table: dict[int, Callable], c: SynTerm) -> Optional[Callable]:
 
 _UNARY_STEP = object()  # on fold's work stack, above the operator to apply
 _BINARY_STEP = object()
-_KEEP = object()  # above an operator node whose value fold keeps
+_KEEP = object()  # above an application whose value fold keeps
 
 # What sys.getrefcount reads for a node that a walk has just popped into
 # one local name, when one operand slot refers to the node: that slot,
@@ -347,7 +347,7 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
     by memory only.  ``leaf`` may raise NotInLanguage.  The tables come
     from ``op_table``; a miss by identity goes to ``op_entry``.
 
-    Each distinct operator node is folded once, so the walk is linear in
+    Each distinct application is folded once, so the walk is linear in
     the number of distinct nodes, however often a subterm is shared.
     The value of a node that more than one place refers to is kept by
     ``id(node)`` and reused wherever the walk reaches the node again; a
@@ -366,19 +366,17 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
             if kept and id(node) in kept:
                 vals.append(kept[id(node)])
                 continue
+            if getrefcount(node) > ONE_REFERRER and node is not t:
+                todo += (node, _KEEP)
             f = node.fun
             if type(f) is App:
                 op = binary.get(id(f.fun)) or op_entry(binary, f.fun)
                 if op is not None:
-                    if getrefcount(node) > ONE_REFERRER and node is not t:
-                        todo += (node, _KEEP)
                     todo += (op, _BINARY_STEP, node.arg, f.arg)
                     continue
             else:
                 op = unary.get(id(f)) or op_entry(unary, f)
                 if op is not None:
-                    if getrefcount(node) > ONE_REFERRER and node is not t:
-                        todo += (node, _KEEP)
                     todo += (op, _UNARY_STEP, node.arg)
                     continue
             vals.append(leaf(node))
