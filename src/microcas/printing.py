@@ -43,7 +43,6 @@ by identity first, then with ``terms.same_term``.
 from __future__ import annotations
 
 import json
-from functools import partial
 from typing import Callable, Optional
 
 from .terms import (
@@ -78,10 +77,13 @@ _EXPR = 1
 Layout = tuple[int, list]
 
 
-def _write(layout: Callable[[SynTerm], Layout], pieces: list) -> str:
+def _write(layout: Callable[[SynTerm, dict], Layout], pieces: list) -> str:
     """The text of pieces, left to right: a string as it is, a slot as
-    its subterm's layout, in parentheses below the slot's level."""
+    its subterm's layout, in parentheses below the slot's level.  Every
+    layout call gets the same dict, which lives for this one call, for
+    what a layout learns about shared subterms."""
     out: list[str] = []
+    memo: dict = {}
     todo = pieces[::-1]
     while todo:
         item = todo.pop()
@@ -89,7 +91,7 @@ def _write(layout: Callable[[SynTerm], Layout], pieces: list) -> str:
             out.append(item)
             continue
         node, level = item
-        have, parts = layout(node)
+        have, parts = layout(node, memo)
         if have < level:
             todo += (")", *parts[::-1], "(")
         else:
@@ -107,16 +109,14 @@ def to_infix(t: SynTerm) -> str:
     Raises ValueError on trees with no infix form (quotations, bare
     operator constants, abstractions below the top level).
     """
-    chains: dict = {}
-    layout = partial(_infix, chains)
     if isinstance(t, Lambda):
         if t.var != "x":
             raise ValueError("only functions of x have an infix form")
-        return _write(layout, ["fun x -> ", (t.body, 0)])
-    return _write(layout, [(t, 0)])
+        return _write(_infix, ["fun x -> ", (t.body, 0)])
+    return _write(_infix, [(t, 0)])
 
 
-def _infix(chains: dict, t: SynTerm) -> Layout:
+def _infix(t: SynTerm, chains: dict) -> Layout:
     """t's infix layout; ``chains`` holds the power-chain lengths this
     ``to_infix`` call has read (see ``_as_power_chain``)."""
     if type(t) is App:
@@ -274,7 +274,7 @@ def to_sexpr(t: SynTerm) -> str:
     return _write(_sexpr, [(t, 0)])
 
 
-def _sexpr(t: SynTerm) -> Layout:
+def _sexpr(t: SynTerm, memo: dict) -> Layout:
     if isinstance(t, App):
         return 0, ["(app ", (t.fun, 0), " ", (t.arg, 0), ")"]
     if isinstance(t, IntLit):
@@ -298,7 +298,7 @@ def to_json(t: SynTerm) -> str:
     return _write(_json, [(t, 0)])
 
 
-def _json(t: SynTerm) -> Layout:
+def _json(t: SynTerm, memo: dict) -> Layout:
     s = json.dumps
     if isinstance(t, App):
         return 0, ['{"arg": ', (t.arg, 0), ', "fun": ', (t.fun, 0), ', "node": "app"}']
