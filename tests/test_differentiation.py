@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 from typing import Optional
 
@@ -411,6 +412,53 @@ def test_lowering_shares_repeated_subterms():
     assert len(prog.init) == 2
     assert len(prog.steps) == 4
     assert prog.uses_x and not compile_real(r_lit(3)).uses_x
+
+
+def _sin_ladder(levels: int):
+    """f <- sin(f) * f from f = x: a DAG of two nodes a level, whose
+    tree has 2^levels paths."""
+    f = X_R
+    for _ in range(levels):
+        f = r_mul(r_sin(f), f)
+    return f
+
+
+def _sin_ladder_tree(levels: int):
+    """The same term as _sin_ladder(levels) with no node shared."""
+    if levels == 0:
+        return X_R
+    return r_mul(r_sin(_sin_ladder_tree(levels - 1)), _sin_ladder_tree(levels - 1))
+
+
+def test_shared_sin_ladder_is_walked_once_per_node():
+    # 40 levels have 2^40 paths.  Asserts name no term: the repr of one
+    # expands every path.
+    budget = 5.0
+    t0 = time.monotonic()
+    f = _sin_ladder(40)
+    member = is_diff_expr(f)
+    d = diff(f)
+    progs = [compile_real(t) for t in (f, simplify(f), d, simplify(d))]
+    elapsed = time.monotonic() - t0
+    # Forward mode along the ladder at x = 2, where f tends to pi/2 and
+    # each level's factor sin(f) + f cos(f) to 1.
+    v, dv = 2.0, 1.0
+    for _ in range(40):
+        v, dv = math.sin(v) * v, (math.cos(v) * v + math.sin(v)) * dv
+    f_at, sf_at, d_at, sd_at = (p(2.0) for p in progs)
+    assert member
+    assert f_at == sf_at == pytest.approx(v, rel=1e-12)
+    assert d_at == sd_at == pytest.approx(dv, rel=1e-9)
+    assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
+
+
+def test_compile_real_lowers_a_dag_as_its_tree():
+    # Lowering the tree visits every path, as a walk without memory
+    # does; the DAG must give the same program.
+    dag, tree = _sin_ladder(10), _sin_ladder_tree(10)
+    assert compile_real(dag) == compile_real(tree)
+    for a in (-1.5, 0.25, 2.0):
+        assert compile_real(dag)(a) == compile_real(tree)(a)
 
 
 def test_lowering_and_is_diff_expr_agree_on_membership():

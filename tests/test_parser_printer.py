@@ -272,10 +272,14 @@ def _deep_inputs(n: int = 3000):
         ("diffexpr", "x", ("sin", "inv")),
     ):
         head = "fun x -> " if lang == "ratfun" else ""
+        nest = "1 + (" * n + leaf + ")" * n
         srcs = {
             "parens": "(" * n + leaf + ")" * n,
             "minus": "-" * n + leaf,
             "sum": " + ".join([leaf] * n),
+            # equal deep operands, which the rational printer writes as a
+            # square
+            "square": f"({nest}) * ({nest})",
         } | {name: f"{name}(" * n + leaf + ")" * n for name in calls}
         for shape, src in srcs.items():
             yield pytest.param(lang, head + src, id=f"{lang}-{shape}")

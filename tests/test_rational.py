@@ -101,6 +101,24 @@ def _operand_pairs(draw):
     )
 
 
+_POLYS = st.lists(st.integers(-50, 50), max_size=6).map(Poly)
+_UNITS = st.integers(-9, 9).filter(bool).map(lambda c: Poly([c]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, _UNITS, _POLYS, _UNITS)
+# (x + 1) + -(x + 1) = 0, which must be the one zero 0/1
+@example(Poly([2, 2]), Poly([2]), Poly([-3, -3]), Poly([3]))
+def test_polynomial_fast_path_agrees_with_make(p, c, q, d):
+    # make over a constant rescales to a new Poly equal to 1, not ONE itself
+    a, b = CanonicalFraction.make(p, c), CanonicalFraction.make(q, d)
+    assert a.den == ONE and b.den == ONE
+    make = CanonicalFraction.make
+    for got, want in ((a + b, make(a.num + b.num, ONE)), (a * b, make(a.num * b.num, ONE))):
+        assert got == want
+        assert _is_canonical(got)
+
+
 def _is_canonical(c: CanonicalFraction) -> bool:
     if c.num.is_zero():
         return c.den == ONE
@@ -294,9 +312,15 @@ def test_is_quasinorm_accepts_surviving_linear_factors():
 
 @pytest.mark.parametrize("src", ["(x + 1)^200", "(x^400 - 1) / (x - 1)"])
 def test_norm_predicates_on_deep_normal_forms(src):
+    # The rendered x^k chains share their nodes: each predicate walks
+    # them once, not once per monomial.
+    budget = 0.5
     n = norm_rat_expr(rx(src))
+    t0 = time.monotonic()
     assert is_norm(n)
     assert is_quasinorm(n)
+    elapsed = time.monotonic() - t0
+    assert elapsed < budget, f"{elapsed:.2f}s exceeds the {budget}s budget"
     assert not is_norm(q_add(n, q_lit(0)))
     assert not is_quasinorm(q_add(n, q_lit(0)))
 
@@ -544,3 +568,52 @@ def test_unreduced_growth_stays_bounded():
     assert compile_rat(t)(Fraction(1, 6)) == Fraction(1, 6) * Fraction(7, 6) ** 14
     elapsed = time.monotonic() - t0
     assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
+
+
+def _ladder(levels: int):
+    """t <- t * x + t from t = x, as a DAG of three nodes a level."""
+    t = X_Q
+    for _ in range(levels):
+        t = q_add(q_mul(t, X_Q), t)
+    return t
+
+
+def _ladder_tree(levels: int):
+    """The same term as _ladder(levels) with no node shared."""
+    if levels == 0:
+        return X_Q
+    return q_add(q_mul(_ladder_tree(levels - 1), X_Q), _ladder_tree(levels - 1))
+
+
+def test_shared_ladder_is_walked_once_per_node():
+    # 60 levels have 2^60 paths: every walk below must visit each
+    # distinct node once.  The value is x (x + 1)^60.  Asserts name no
+    # term: the repr of one expands every path.
+    budget = 5.0
+    t0 = time.monotonic()
+    t = _ladder(60)
+    member = is_rat_expr(t)
+    value = frac_value(t)
+    flat = flatten_raw(t)
+    n = norm_rat_expr(t)
+    normal = is_norm(n), is_norm(t), frac_value(n) == value
+    prog = compile_rat(t)
+    points = (Fraction(1, 6), Fraction(-2), Fraction(0))
+    got = [prog(a) for a in points]
+    elapsed = time.monotonic() - t0
+    want = Poly([0, 1]) * Poly([1, 1]) ** 60
+    assert member
+    assert value == CanonicalFraction.make(want, ONE)
+    assert flat == (want, ONE, [])
+    assert normal == (True, False, True)
+    assert got == [a * (a + 1) ** 60 for a in points]
+    assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
+
+
+def test_compile_rat_lowers_a_dag_as_its_tree():
+    # Lowering the tree visits every path, as a walk without memory
+    # does; the DAG must give the same program.
+    dag, tree = _ladder(12), _ladder_tree(12)
+    assert compile_rat(dag) == compile_rat(tree)
+    for a in (Fraction(1, 3), Fraction(-1), Fraction(5, 2)):
+        assert compile_rat(dag)(a) == compile_rat(tree)(a) == a * (a + 1) ** 12

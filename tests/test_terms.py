@@ -8,6 +8,8 @@ is undefined (None).
 from __future__ import annotations
 
 import copy
+import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,9 @@ import pytest
 from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow, r_sin
 from microcas.factoring import ADD_I, i_add, i_mul, i_neg, i_pow
 from microcas.printing import to_infix
-from microcas.rational import frac_value, is_rat_expr, q_add, q_inv, q_lit, q_mul, q_neg, X_Q
+from microcas.rational import (
+    ADD_Q, INV_Q, MUL_Q, NEG_Q, X_Q, frac_value, is_rat_expr, q_add, q_inv, q_lit, q_mul, q_neg,
+)
 from microcas.terms import (
     FRAC,
     INT,
@@ -36,9 +40,11 @@ from microcas.terms import (
     TermV,
     Var,
     eval_as,
+    fold,
     infer_type,
     match_binary,
     match_unary,
+    op_table,
     quote,
     register_constant,
     same_term,
@@ -211,3 +217,57 @@ def test_same_term_agrees_with_equality_without_recursion():
         a, b, c = q_add(X_Q, a), q_add(X_Q, b), q_add(X_Q, c)
     assert same_term(quote(a), quote(b))
     assert not same_term(a, c)
+
+
+# -- shared subterms ---------------------------------------------------------
+
+
+def _ladder(bottom, levels: int, factor=X_Q):
+    """t <- t * factor + t, levels times: each level refers to the one
+    below twice, so the tree has 2^levels paths and the DAG three nodes
+    a level."""
+    t = bottom
+    for _ in range(levels):
+        t = q_add(q_mul(t, factor), t)
+    return t
+
+
+def test_fold_applies_each_operator_once_per_distinct_node():
+    calls = Counter()
+
+    def counted(name, op):
+        def apply(*args):
+            calls[name] += 1
+            return op(*args)
+
+        return apply
+
+    unary = op_table({
+        NEG_Q: counted("-", operator.neg),
+        INV_Q: counted("inv", lambda u: 1 / u if u else None),
+    })
+    binary = op_table({ADD_Q: counted("+", operator.add), MUL_Q: counted("*", operator.mul)})
+
+    def leaf(t):
+        return t.value if type(t) is RatLit else Fraction(2)
+
+    # At x = 2 each level is t * -2 + t = -t.  Twelve levels have 4096
+    # paths, so a fold that walked paths would count thousands.
+    value = fold(_ladder(X_Q, 12, q_neg(X_Q)), leaf, unary, binary)
+    assert value == 2
+    assert calls == {"+": 12, "*": 12, "-": 1}
+    # A shared undefined node is reused as undefined, not folded again.
+    calls.clear()
+    zero = q_inv(q_add(X_Q, q_neg(X_Q)))
+    value = fold(_ladder(zero, 12), leaf, unary, binary)
+    assert value is None
+    assert calls == {"+": 1, "-": 1, "inv": 1}
+
+
+def test_same_term_compares_each_pair_of_shared_nodes_once():
+    # Asserts name no term: the repr of one expands every path.
+    a, b, c = _ladder(X_Q, 60), _ladder(X_Q, 60), _ladder(q_lit(1), 60)
+    distinct = a is not b and a.fun.arg.fun.arg is not b.fun.arg.fun.arg
+    verdicts = same_term(a, b), same_term(a, c)
+    assert distinct
+    assert verdicts == (True, False)
