@@ -11,7 +11,10 @@
 Every subcommand takes --format {infix|sexpr|json}.  Exit codes: 0 on
 success, 2 on a parse or argument error, 3 when the result does not
 exist (the word "undefined" goes to standard output), 4 when a
-contract check finds a counterexample.
+contract check finds a counterexample, 5 when an integer in the
+input, the work or the output has more decimal digits than Python
+converts to or from text (sys.get_int_max_str_digits(), 4300 by
+default); a one-line message names the limit on standard error.
 
 eval uses the strict term-tree semantics of rational expressions at a
 point.  That makes the classic pitfall reproducible: evaluating
@@ -35,10 +38,34 @@ from .printing import FORMATS, format_term
 from . import harness
 
 
+class _DigitLimit(Exception):
+    """An argument past the digit limit.  Not a ValueError, so argparse
+    lets it through instead of reporting a malformed argument."""
+
+
+def _over_digit_limit(e: Exception) -> bool:
+    """Is e the error of an int/str conversion past the digit limit?"""
+    return "integer string conversion" in str(e)
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as e:
+        if _over_digit_limit(e):
+            raise _DigitLimit from e
+        raise
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as e:
+        if _over_digit_limit(e):
+            raise _DigitLimit from e
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
@@ -60,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "factor", parents=[common], help="prime decomposition of an integer"
     )
-    p.add_argument("n", type=int, help="integer to factor")
+    p.add_argument("n", type=_int, help="integer to factor")
     p.add_argument(
         "--maple",
         action="store_true",
@@ -110,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=-2.0, help="left end (default -2)")
     p.add_argument("--hi", type=float, default=2.0, help="right end (default 2)")
     p.add_argument(
-        "--n", type=int, default=41, help="number of grid points (default 41)"
+        "--n", type=_int, default=41, help="number of grid points (default 41)"
     )
     p.set_defaults(handler=_cmd_domain)
 
@@ -122,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(harness.CHECKS) + ["all"],
         help="which contract suite to run",
     )
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--seed", type=_int, default=0, help="generator seed (default 0)")
     p.add_argument(
-        "--cases", type=int, default=500, help="cases per suite (default 500)"
+        "--cases", type=_int, default=500, help="cases per suite (default 500)"
     )
     p.set_defaults(handler=_cmd_check)
 
@@ -206,6 +233,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 4
 
 
+def _digit_limit_exit() -> int:
+    limit = sys.get_int_max_str_digits()
+    print(
+        f"resource limit: an integer has more than {limit} decimal digits, "
+        "the limit for converting integers to or from text",
+        file=sys.stderr,
+    )
+    return 5
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -213,11 +250,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 2
+    except _DigitLimit:
+        return _digit_limit_exit()
     try:
         return args.handler(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
+    except ValueError as e:
+        if not _over_digit_limit(e):
+            raise
+        return _digit_limit_exit()
 
 
 def entry() -> None:

@@ -415,11 +415,21 @@ def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
             yield "body-quasinormal", g is not None and rq.is_quasinorm(rq.body(g)), f, ""
             bad = None
             if is_fun:
-                pf, pg = rq.compile_rat(f.body), rq.compile_rat(g.body)
-                points = set(rq.singular_points(f.body))
-                for _ in range(50):
-                    points.add(Fraction(rng.randint(-60, 60), rng.randint(1, 6)))
-                bad = next((a for a in sorted(points) if pf(a) != pg(a)), None)
+                # Points and values are unreduced integer pairs, compared
+                # by cross-multiplying; a Fraction is built only to name
+                # the smallest point where the bodies disagree.
+                pf, pg = rq.compile_rat(f.body).pair, rq.compile_rat(g.body).pair
+                points = [(a.numerator, a.denominator) for a in rq.singular_points(f.body)]
+                points += [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(50)]
+                failing = []
+                for n, d in points:
+                    u, v = pf(n, d), pg(n, d)
+                    if u is v:  # both undefined
+                        continue
+                    if u is None or v is None or u[0] * v[1] != v[0] * u[1]:
+                        failing.append((n, d))
+                if failing:
+                    bad = min(Fraction(n, d) for n, d in failing)
             at = "" if bad is None else f" at x = {bad}"
             yield "pointwise-quasi-equality", is_fun and bad is None, f, at
         yield from _off_language(rng, cfg, "ratfun", rq.norm_rat_fun)

@@ -304,6 +304,11 @@ def parse(src: str, lang: str) -> SynTerm:
 
     lang is one of "int", "ratexpr", "ratfun", "diffexpr".  The result
     always satisfies the corresponding membership predicate.
+
+    A numeral with more decimal digits than Python converts from text
+    (``sys.get_int_max_str_digits()``, 4300 by default) raises Python's
+    own ValueError, not a ParseError.  The CLI maps that error to its
+    resource-limit exit code, 5.
     """
     if lang not in LANGS:
         raise ValueError(f"unknown language {lang!r}")

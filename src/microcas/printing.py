@@ -77,18 +77,25 @@ _EXPR = 1
 Layout = tuple[int, list]
 
 
-def _write(layout: Callable[[SynTerm, dict], Layout], pieces: list) -> str:
+def _write(layout: Callable[[SynTerm, dict], Layout], pieces: list, limit: int = 0) -> str:
     """The text of pieces, left to right: a string as it is, a slot as
     its subterm's layout, in parentheses below the slot's level.  Every
     layout call gets the same dict, which lives for this one call, for
-    what a layout learns about shared subterms."""
+    what a layout learns about shared subterms.  A positive ``limit``
+    cuts the text: once it is longer than that, the walk stops and the
+    first ``limit`` characters are returned with "..." after them."""
     out: list[str] = []
     memo: dict = {}
     todo = pieces[::-1]
+    size = 0
     while todo:
         item = todo.pop()
         if type(item) is str:
             out.append(item)
+            if limit:
+                size += len(item)
+                if size > limit:
+                    return "".join(out)[:limit] + "..."
             continue
         node, level = item
         have, parts = layout(node, memo)
@@ -107,7 +114,10 @@ def to_infix(t: SynTerm) -> str:
     """Concrete syntax for t; the parser maps it back to t exactly.
 
     Raises ValueError on trees with no infix form (quotations, bare
-    operator constants, abstractions below the top level).
+    operator constants, abstractions below the top level), and Python's
+    own ValueError on a literal with more decimal digits than it
+    converts to text (``sys.get_int_max_str_digits()``, 4300 by
+    default); the CLI maps the latter to its resource-limit exit code, 5.
     """
     if isinstance(t, Lambda):
         if t.var != "x":
@@ -129,7 +139,7 @@ def _infix(t: SynTerm, chains: dict) -> Layout:
             make = op_entry(_INFIX_UNARY, f)
             if make is not None:
                 return make(t.arg, chains)
-        # Name the operator only: repr of the subtree recurses through it.
+        # Name the operator only, not the subtree it heads.
         head = f.fun if type(f) is App else f
         name = repr(head.symbol) if isinstance(head, Const) else type(head).__name__
         raise ValueError(f"no infix form for the operator {name}")
@@ -269,9 +279,11 @@ _INFIX_UNARY = op_table(
 # structural formats
 
 
-def to_sexpr(t: SynTerm) -> str:
-    """Fully parenthesized prefix form, one node per parenthesis pair."""
-    return _write(_sexpr, [(t, 0)])
+def to_sexpr(t: SynTerm, limit: int = 0) -> str:
+    """Fully parenthesized prefix form, one node per parenthesis pair;
+    with a positive ``limit``, cut after that many characters and marked
+    with "...", so the cost is bounded by the limit, not the tree."""
+    return _write(_sexpr, [(t, 0)], limit)
 
 
 def _sexpr(t: SynTerm, memo: dict) -> Layout:

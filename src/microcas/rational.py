@@ -341,21 +341,25 @@ class RatProgram:
     writes register ``len(nums) + k`` from registers i and j (j is
     unused by unary steps).  The last register is the term's value.
     Shared subterms are computed once.
+
+    ``pair`` runs the steps and returns the last register as it stands;
+    calling the program runs ``pair`` and builds the one reduced
+    ``Fraction`` of its result.  Callers that compare many values, such
+    as the norm-fun contract, compare pairs by cross-multiplying.
     """
 
     nums: tuple[int, ...]
     dens: tuple[int, ...]
     steps: tuple[tuple, ...]
 
-    def __call__(self, a: Fraction | int) -> Optional[Fraction]:
-        """Value at x = a, or None where it is undefined: the first
+    def pair(self, num: int, den: int) -> Optional[tuple[int, int]]:
+        """Value at x = num/den, for den > 0, as an unreduced integer
+        pair (n, d) with d > 0; None where it is undefined: the first
         inverse of zero ends the run, since every step is a subterm and
         undefinedness is strict."""
-        if not isinstance(a, (int, Fraction)):
-            a = Fraction(a)
         n = list(self.nums)
         d = list(self.dens)
-        n[0], d[0] = a.numerator, a.denominator
+        n[0], d[0] = num, den
         put_n, put_d = n.append, d.append
         for op, i, j in self.steps:
             if op == _MUL:
@@ -376,7 +380,14 @@ class RatProgram:
                 nv, dv = nv // g, dv // g
             put_n(nv)
             put_d(dv)
-        return Fraction(n[-1], d[-1])
+        return n[-1], d[-1]
+
+    def __call__(self, a: Fraction | int) -> Optional[Fraction]:
+        """Value at x = a, or None where it is undefined."""
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        v = self.pair(a.numerator, a.denominator)
+        return None if v is None else Fraction(*v)
 
 
 def compile_rat(t: SynTerm) -> RatProgram:
@@ -462,7 +473,8 @@ def eval_pointwise(t: SynTerm, a: Fraction | int) -> Optional[Fraction]:
     """Value of a rational expression at x = a, on the original term
     tree: every inverse of a zero value is undefined and undefinedness
     is strict.  This is the map a rational function really computes.
-    One ``compile_rat`` lowering and one run of its program.  Raises
+    One ``compile_rat`` lowering and one run of its program, whose
+    unreduced integer pair becomes one reduced ``Fraction``.  Raises
     NotInLanguage, a ValueError, off the language.
     """
     return compile_rat(t)(a)
@@ -597,19 +609,31 @@ def norm_rat_expr(t: SynTerm) -> Optional[SynTerm]:
     return UNDEFINED_NORMAL_FORM if v is None else frac_to_term(v)
 
 
+def _union(s1: list[Poly], s2: list[Poly]) -> list[Poly]:
+    """s1 then the polynomials of s2 not in it: both lists hold distinct
+    polynomials in first-occurrence order, and so does the result.  The
+    lists are shared between the values of a fold, so none is changed."""
+    if not s2 or s2 is s1:
+        return s1
+    if not s1:
+        return s2
+    seen = set(s1)
+    return s1 + [p for p in s2 if p not in seen]
+
+
 def _flat_add(a: tuple, b: tuple) -> tuple:
     (n1, d1, s1), (n2, d2, s2) = a, b
-    return n1 * d2 + n2 * d1, d1 * d2, s1 + s2
+    return n1 * d2 + n2 * d1, d1 * d2, _union(s1, s2)
 
 
 def _flat_mul(a: tuple, b: tuple) -> tuple:
     (n1, d1, s1), (n2, d2, s2) = a, b
-    return n1 * n2, d1 * d2, s1 + s2
+    return n1 * n2, d1 * d2, _union(s1, s2)
 
 
 def _flat_inv(a: tuple) -> Optional[tuple]:
     n, d, s = a
-    return None if n.is_zero() else (d, n, s + [n])
+    return None if n.is_zero() else (d, n, _union(s, [n]))
 
 
 _FLAT_UNARY = op_table({NEG_Q: lambda a: (-a[0], a[1], a[2]), INV_Q: _flat_inv})
@@ -618,9 +642,12 @@ _FLAT_BINARY = op_table({ADD_Q: _flat_add, MUL_Q: _flat_mul})
 
 def flatten_raw(t: SynTerm) -> Optional[tuple[Poly, Poly, list[Poly]]]:
     """Unreduced fraction of a rational expression plus the flattened
-    numerators of every inverted subterm, left to right; None when the
+    numerators of its inverted subterms, each distinct polynomial once,
+    in the order of its first occurrence left to right; None when the
     value does not exist in the field of fractions.  Raises
-    NotInLanguage, a ValueError, off the language."""
+    NotInLanguage, a ValueError, off the language.  On a term with
+    shared subterms the list grows with the distinct numerators, not
+    with the paths to them."""
     leaf = _leaf(lambda c: (Poly([c]), ONE, []), (X, ONE, []))
     return fold(t, leaf, _FLAT_UNARY, _FLAT_BINARY)
 

@@ -73,13 +73,29 @@ def type_name(ty: SemType) -> str:
 # ---------------------------------------------------------------------------
 # terms
 
+# Characters of s-expression a term's repr shows before it is cut.  A
+# dataclass repr would write a shared subterm out once per path.
+REPR_LIMIT = 200
 
-@dataclass(frozen=True)
+
+def _term_repr(t: "SynTerm") -> str:
+    """The s-expression of t, cut at REPR_LIMIT characters."""
+    from .printing import to_sexpr
+
+    try:
+        return to_sexpr(t, REPR_LIMIT)
+    except ValueError:  # an operand that is not a term
+        return f"<{type(t).__name__} with no s-expression>"
+
+
+@dataclass(frozen=True, repr=False)
 class IntLit:
     value: int
 
+    __repr__ = _term_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class RatLit:
     value: Fraction
 
@@ -87,8 +103,10 @@ class RatLit:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
+    __repr__ = _term_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Var:
     name: str
     ty: SemType
@@ -97,29 +115,39 @@ class Var:
         if not self.name:
             raise ValueError("variable name must be nonempty")
 
+    __repr__ = _term_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Const:
     symbol: str
     ty: SemType
 
+    __repr__ = _term_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class App:
     fun: "SynTerm"
     arg: "SynTerm"
 
+    __repr__ = _term_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Lambda:
     var: str
     var_ty: SemType
     body: "SynTerm"
 
+    __repr__ = _term_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Quote:
     term: "SynTerm"
+
+    __repr__ = _term_repr
 
 
 SynTerm = Union[IntLit, RatLit, Var, Const, App, Lambda, Quote]

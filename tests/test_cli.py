@@ -1,6 +1,6 @@
 """Command-line front end: subcommands, output formats, and the exit
 code contract (0 ok, 2 parse/usage error, 3 undefined result, 4 check
-counterexample).
+counterexample, 5 an integer past the int/str digit limit).
 """
 
 from __future__ import annotations
@@ -121,6 +121,27 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "check", "factor", "--cases", "0")[0] == 2
     assert run(capsys, "check", "factor", "--seed", "-3")[0] == 2
     assert run(capsys)[0] == 2
+
+
+_HUGE = "7" * 5000  # past the default int/str digit limit of 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm-expr", "2^20000"],  # the output literal
+        ["eval", "x^2000", "--at", "1000"],  # the printed value
+        ["diff", "x^20000*2^20000"],  # a real literal, kept as text
+        ["factor", _HUGE],  # the argument itself
+    ],
+    ids=["norm-expr", "eval", "diff", "factor"],
+)
+def test_digit_limit_exits_5(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "more than 4300 decimal digits" in err
 
 
 def test_domain_text_and_json(capsys):

@@ -431,8 +431,7 @@ def _sin_ladder_tree(levels: int):
 
 
 def test_shared_sin_ladder_is_walked_once_per_node():
-    # 40 levels have 2^40 paths.  Asserts name no term: the repr of one
-    # expands every path.
+    # 40 levels have 2^40 paths.
     budget = 5.0
     t0 = time.monotonic()
     f = _sin_ladder(40)

@@ -5,6 +5,7 @@ branch-tallied reports, and green runs for every registered check.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,20 @@ from microcas.harness import (
 )
 from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit
 from microcas.factoring import is_numeral
-from microcas.rational import is_rat_expr, is_rat_fun, q_add, q_lit
+from microcas.printing import to_sexpr
+from microcas.rational import (
+    X_Q,
+    eval_pointwise,
+    is_rat_expr,
+    is_rat_fun,
+    norm_rat_fun,
+    q_add,
+    q_inv,
+    q_lit,
+    q_mul,
+    q_sub,
+    singular_points,
+)
 from microcas.terms import RAT, REAL, IntLit, IntV, Lambda
 
 
@@ -187,6 +201,41 @@ def test_norm_fun_witness_names_the_point(monkeypatch):
         "pointwise-quasi-equality": f,
         "undefined-off-language": None,
     }
+
+
+def _undefined_at_small_integers(real, t):
+    """norm_rat_fun's output times 1 + 0/p, p = (x + 6)(x + 5)...(x - 6):
+    the body is also undefined at the integers -6..6."""
+    g = real(t)
+    p = q_lit(1)
+    for r in range(-6, 7):
+        p = q_mul(p, q_sub(X_Q, q_lit(r)) if r >= 0 else q_add(X_Q, q_lit(-r)))
+    return g and Lambda("x", RAT, q_mul(g.body, q_add(q_lit(1), q_mul(q_lit(0), q_inv(p)))))
+
+
+def test_norm_fun_witness_is_the_smallest_failing_point(monkeypatch):
+    # Replay the suite's draws and compare at every point by Fraction:
+    # the first case with a failing point has several, and passes at
+    # its smallest point, so the witness must be chosen among failures.
+    from microcas import rational
+
+    first = None
+    rng = random.Random(_RIGGED.seed)
+    for _ in range(_RIGGED.cases):
+        f = draw_rat_fun(rng, _RIGGED)
+        g = _undefined_at_small_integers(norm_rat_fun, f)
+        points = set(singular_points(f.body))
+        points |= {Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(50)}
+        values = {a: eval_pointwise(f.body, a) != eval_pointwise(g.body, a) for a in points}
+        failing = sorted(a for a, differ in values.items() if differ)
+        if failing and first is None:
+            first = f, failing, min(points)
+    f, failing, smallest = first
+    assert len(failing) >= 2 and failing[0] != smallest
+    _rig(monkeypatch, rational, "norm_rat_fun", _undefined_at_small_integers)
+    witness = _witnesses("norm-fun")["pointwise-quasi-equality"]
+    assert witness == f"{to_sexpr(f)} at x = {failing[0]}"
+    assert witness.endswith(" at x = -5")
 
 
 def test_diff_witness_names_the_point(monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from microcas.harness import GenConfig, draw_rat_expr, draw_rat_fun
+from microcas.harness import GenConfig, _rat_denote, draw_rat_expr, draw_rat_fun
 from microcas.parser import parse
 from microcas.polynomials import ONE, Poly, poly_gcd
 from microcas.printing import to_infix
@@ -470,6 +470,9 @@ def test_undefined_operand_poisons_its_term():
 def test_flatten_raw_lists_inverted_numerators_left_to_right():
     _, _, invs = flatten_raw(rx("1/x + 1/(x - 1)"))
     assert invs == [Poly([0, 1]), Poly([-1, 1])]
+    # Each distinct numerator once, where it first occurs.
+    _, _, invs = flatten_raw(rx("1/(x - 1) + 1/x + 2/(x - 1) + 1/(1/x)"))
+    assert invs == [Poly([-1, 1]), Poly([0, 1]), ONE]
 
 
 @pytest.mark.parametrize(
@@ -526,6 +529,26 @@ def test_compile_rat_matches_a_fraction_reference(seed):
         assert got is None or a not in singular
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 6)), max_size=8),
+)
+def test_program_pair_is_the_value_unreduced(seed, draws):
+    # The norm-fun suite compares these pairs; they must be the value
+    # that calling the program and the harness's own denotation give.
+    t = draw_rat_expr(random.Random(seed), GenConfig(seed=seed))
+    prog = compile_rat(t)
+    points = [(a.numerator, a.denominator) for a in singular_points(t)] + draws
+    for n, d in points + [(0, 1), (2, 2)]:
+        pair = prog.pair(n, d)
+        got, want = prog(Fraction(n, d)), _rat_denote(t, Fraction(n, d))
+        if pair is None:
+            assert got is None and want is None, (to_infix(t), n, d)
+        else:
+            assert pair[1] > 0 and Fraction(*pair) == got == want, (to_infix(t), n, d)
+
+
 def test_compile_rat_reads_copies_of_registered_constants():
     rr = Arrow(RAT, RAT)
     plus, inv = Const("+", Arrow(RAT, rr)), Const("inv", rr)
@@ -570,11 +593,11 @@ def test_unreduced_growth_stays_bounded():
     assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
 
 
-def _ladder(levels: int):
-    """t <- t * x + t from t = x, as a DAG of three nodes a level."""
+def _ladder(levels: int, factor=X_Q):
+    """t <- t * factor + t from t = x, as a DAG of three nodes a level."""
     t = X_Q
     for _ in range(levels):
-        t = q_add(q_mul(t, X_Q), t)
+        t = q_add(q_mul(t, factor), t)
     return t
 
 
@@ -587,8 +610,7 @@ def _ladder_tree(levels: int):
 
 def test_shared_ladder_is_walked_once_per_node():
     # 60 levels have 2^60 paths: every walk below must visit each
-    # distinct node once.  The value is x (x + 1)^60.  Asserts name no
-    # term: the repr of one expands every path.
+    # distinct node once.  The value is x (x + 1)^60.
     budget = 5.0
     t0 = time.monotonic()
     t = _ladder(60)
@@ -607,6 +629,26 @@ def test_shared_ladder_is_walked_once_per_node():
     assert flat == (want, ONE, [])
     assert normal == (True, False, True)
     assert got == [a * (a + 1) ** 60 for a in points]
+    assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
+
+
+def test_inverted_numerators_of_a_dag_are_listed_once():
+    # Each level of t <- t * u + t lists u's inverted numerators once
+    # more per path: 2^levels times in all, were the list kept per path.
+    # With u = 1/x the unreduced fraction has degree 2^levels, so that
+    # ladder stays at 14 levels; with u = 1/(1/x), the polynomial x, the
+    # fraction is x (x + 1)^20 at 20 levels.
+    budget = 2.0
+    t0 = time.monotonic()
+    inv_x, inv_inv_x = _ladder(14, q_inv(X_Q)), _ladder(20, q_inv(q_inv(X_Q)))
+    listed = flatten_raw(inv_x)[2], flatten_raw(inv_inv_x)[2]
+    singular = singular_points(inv_x), singular_points(inv_inv_x)
+    normal = norm_rat_fun(Lambda("x", RAT, inv_inv_x))
+    elapsed = time.monotonic() - t0
+    assert listed == ([Poly([0, 1])], [Poly([0, 1]), ONE])
+    assert singular == ([Fraction(0)], [Fraction(0)])
+    # x^2 (x + 1)^20 / x keeps the singular point 0.
+    assert flatten_raw(normal.body)[:2] == (Poly([0, 1]) ** 2 * Poly([1, 1]) ** 20, Poly([0, 1]))
     assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import operator
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 
 from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow, r_sin
 from microcas.factoring import ADD_I, i_add, i_mul, i_neg, i_pow
-from microcas.printing import to_infix
+from microcas.printing import to_infix, to_sexpr
 from microcas.rational import (
     ADD_Q, INV_Q, MUL_Q, NEG_Q, X_Q, frac_value, is_rat_expr, q_add, q_inv, q_lit, q_mul, q_neg,
 )
@@ -25,6 +26,7 @@ from microcas.terms import (
     INT,
     RAT,
     REAL,
+    REPR_LIMIT,
     SYNTAX,
     App,
     Arrow,
@@ -265,9 +267,29 @@ def test_fold_applies_each_operator_once_per_distinct_node():
 
 
 def test_same_term_compares_each_pair_of_shared_nodes_once():
-    # Asserts name no term: the repr of one expands every path.
     a, b, c = _ladder(X_Q, 60), _ladder(X_Q, 60), _ladder(q_lit(1), 60)
     distinct = a is not b and a.fun.arg.fun.arg is not b.fun.arg.fun.arg
     verdicts = same_term(a, b), same_term(a, c)
     assert distinct
     assert verdicts == (True, False)
+
+
+def test_repr_of_a_shared_ladder_is_cut_short():
+    # 60 levels have 2^60 paths; a repr that wrote each path out would
+    # never end.  The repr is the s-expression, cut.
+    t = _ladder(X_Q, 60)
+    t0 = time.monotonic()
+    text = repr(t)
+    elapsed = time.monotonic() - t0
+    assert text == to_sexpr(t, REPR_LIMIT)
+    assert len(text) == REPR_LIMIT + 3 and text.endswith("...")
+    assert text.startswith("(app (app (const + (rat -> (rat -> rat))) (app (app (const *")
+    assert elapsed < 0.5
+    # Short terms show whole, and so do values that hold terms.
+    assert repr(q_add(X_Q, q_lit(1))) == "(app (app (const + (rat -> (rat -> rat))) (var x rat)) (rat 1))"
+    assert repr(TermV(IntLit(2))) == "TermV(term=(int 2))"
+    assert repr(App(IntLit(1), 5)) == "<App with no s-expression>"
+    small = q_mul(X_Q, q_lit(2))
+    whole = to_sexpr(small)
+    assert to_sexpr(small, len(whole)) == whole
+    assert to_sexpr(small, len(whole) - 1) == whole[:-1] + "..."
