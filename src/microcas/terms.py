@@ -78,36 +78,37 @@ def type_name(ty: SemType) -> str:
 REPR_LIMIT = 200
 
 
-def _term_repr(t: "SynTerm") -> str:
-    """The s-expression of t, cut at REPR_LIMIT characters."""
-    from .printing import to_sexpr
+class _Term:
+    """Base of the term classes, for their repr: the s-expression, cut
+    at REPR_LIMIT characters."""
 
-    try:
-        return to_sexpr(t, REPR_LIMIT)
-    except ValueError:  # an operand that is not a term
-        return f"<{type(t).__name__} with no s-expression>"
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        from .printing import to_sexpr
+
+        try:
+            return to_sexpr(self, REPR_LIMIT)
+        except ValueError:  # an operand that is no term, or an int past the digit limit
+            return f"<{type(self).__name__} with no s-expression>"
 
 
 @dataclass(frozen=True, repr=False)
-class IntLit:
+class IntLit(_Term):
     value: int
 
-    __repr__ = _term_repr
-
 
 @dataclass(frozen=True, repr=False)
-class RatLit:
+class RatLit(_Term):
     value: Fraction
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
-    __repr__ = _term_repr
-
 
 @dataclass(frozen=True, repr=False)
-class Var:
+class Var(_Term):
     name: str
     ty: SemType
 
@@ -115,39 +116,29 @@ class Var:
         if not self.name:
             raise ValueError("variable name must be nonempty")
 
-    __repr__ = _term_repr
-
 
 @dataclass(frozen=True, repr=False)
-class Const:
+class Const(_Term):
     symbol: str
     ty: SemType
 
-    __repr__ = _term_repr
-
 
 @dataclass(frozen=True, repr=False)
-class App:
+class App(_Term):
     fun: "SynTerm"
     arg: "SynTerm"
 
-    __repr__ = _term_repr
-
 
 @dataclass(frozen=True, repr=False)
-class Lambda:
+class Lambda(_Term):
     var: str
     var_ty: SemType
     body: "SynTerm"
 
-    __repr__ = _term_repr
-
 
 @dataclass(frozen=True, repr=False)
-class Quote:
+class Quote(_Term):
     term: "SynTerm"
-
-    __repr__ = _term_repr
 
 
 SynTerm = Union[IntLit, RatLit, Var, Const, App, Lambda, Quote]
