@@ -11,10 +11,11 @@
 Every subcommand takes --format {infix|sexpr|json}.  Exit codes: 0 on
 success, 2 on a parse or argument error, 3 when the result does not
 exist (the word "undefined" goes to standard output), 4 when a
-contract check finds a counterexample, 5 when an integer in the
-input, the work or the output has more decimal digits than Python
-converts to or from text (sys.get_int_max_str_digits(), 4300 by
-default); a one-line message names the limit on standard error.
+contract check finds a counterexample, 5 at a resource limit: an
+integer in the input, the work or the output with more decimal digits
+than Python converts to or from text (sys.get_int_max_str_digits(),
+4300 by default), or domain --n above DOMAIN_MAX_POINTS (10^6); a
+one-line message names the limit on standard error.
 
 eval uses the strict term-tree semantics of rational expressions at a
 point.  That makes the classic pitfall reproducible: evaluating
@@ -36,6 +37,11 @@ from .differentiation import diff, domain_sample
 from .parser import ParseError, parse
 from .printing import FORMATS, format_term
 from . import harness
+
+
+# The most grid points domain evaluates; past it the command exits 5
+# before it parses, lowers or evaluates anything.
+DOMAIN_MAX_POINTS = 10**6
 
 
 class _DigitLimit(Exception):
@@ -199,6 +205,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_domain(args: argparse.Namespace) -> int:
+    if args.n > DOMAIN_MAX_POINTS:
+        print(
+            f"resource limit: more than {DOMAIN_MAX_POINTS} grid points (--n), "
+            "the limit for domain",
+            file=sys.stderr,
+        )
+        return 5
     t = parse(args.expr, "diffexpr")
     try:
         report = domain_sample(t, args.lo, args.hi, args.n)

@@ -10,15 +10,17 @@ rewrite is purely syntactic and never sees a number.
 Terms are lowered once and evaluated many times.  ``compile_real``
 decides membership and lowers a term, in one iterative pass, to a
 straight-line program whose literals are floats read once and whose
-shared subterms are computed once; running the program at a point is
-the only float evaluator of the language.  It is strict and partial:
+shared subterms are computed once.  Running the program over a list of
+points, a step at a time with one column of floats per register, is the
+only float evaluator of the language.  It is strict and partial:
 inverse of zero, ln of a nonpositive value, fractional powers outside
 their domain, tangent too close to a pole and anything non-finite are
-undefined.  ``eval_real`` runs it at one point, ``domain_sample`` on a
-grid, and ``deriv_numeric`` estimates a derivative from central
-differences with a convergence check, so the symbolic result can be
-audited pointwise: that is what ``check_spec_diff`` does, lowering the
-term and its derivative once for all points.
+undefined.  ``eval_real`` runs it at one point, ``domain_sample`` over
+a grid, and ``deriv_numeric`` over the seven abscissae of a
+central-difference estimate with a convergence check, so the symbolic
+result can be audited pointwise: that is what ``check_spec_diff`` does,
+running the term's program once over every abscissa of every point and
+the derivative's once over the points where the estimate exists.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul, neg, sub
 from sys import getrefcount
 from typing import Optional
 
@@ -75,11 +79,21 @@ def r_lit(c: Fraction | int) -> SynTerm:
 def lit_value(t: SynTerm) -> Optional[Fraction]:
     """Exact value of a rational constant of the real language, else None."""
     if isinstance(t, Const) and t.ty == REAL:
-        try:
-            return Fraction(t.symbol)
-        except ValueError:
-            return None
+        return _read_literal(t.symbol)
     return None
+
+
+@lru_cache(maxsize=4096)
+def _read_literal(symbol: str) -> Optional[Fraction]:
+    """The value of a literal's text, or None where Fraction cannot read
+    it (a ValueError, which includes text past the int/str digit limit).
+    Cached by text, so the rewrite and the lowering parse each literal
+    once; ROADMAP item 4 (the value read when the node is built)
+    replaces it."""
+    try:
+        return Fraction(symbol)
+    except ValueError:
+        return None
 
 
 def _signed_lit(t: SynTerm) -> Optional[Fraction]:
@@ -358,20 +372,14 @@ class RealResult:
     def is_defined(self) -> bool:
         return self.value is not None
 
-    @classmethod
-    def defined(cls, v: float) -> "RealResult":
-        return cls(v) if math.isfinite(v) else cls(None)
-
-    @classmethod
-    def undefined(cls) -> "RealResult":
-        return cls(None)
-
 
 _TAN_POLE_EPS = 1e-12
+_NAN = math.nan
+# Points per block of a run: the columns of one block are live at once.
+_BLOCK = 1024
 
-# Step opcodes of a lowered term, numbered in the order the evaluator
-# tests them; the binary ones (two register operands) come first.
-# _UNDEF is a literal too large for a float.
+# Step opcodes of a lowered term; the binary ones (two register
+# operands) come first.  _UNDEF is a literal too large for a float.
 _ADD, _MUL, _SUB, _NEG, _POW, _INV, _SIN, _COS, _EXP, _LN, _TAN, _UNDEF = range(12)
 _BINARY = {ADD_R.symbol: _ADD, MUL_R.symbol: _MUL, SUB_R.symbol: _SUB, POW_R.symbol: _POW}
 _UNARY = {
@@ -397,6 +405,14 @@ class RealProgram:
     exponent as ``_exponent`` reads it, unused by unary steps).  The
     last register is the term's value.  Shared subterms are computed
     once.
+
+    ``run`` evaluates the program over a list of points a step at a
+    time: each register is a column of floats, one per point, and each
+    step is one pass over its operands' columns.  In a column NaN
+    stands for "undefined".  +, -, * and negation carry a non-finite
+    value on to the last register, and every other step maps a
+    non-finite operand to NaN before it applies, so a value is defined
+    exactly when no step on the way is undefined or non-finite.
     """
 
     init: tuple[float, ...]
@@ -404,71 +420,108 @@ class RealProgram:
     uses_x: bool
 
     def __call__(self, a: float) -> Optional[float]:
-        """Value at x = a, or None where eval_real calls it undefined:
-        a non-finite point, or the first step that is undefined or
-        non-finite, ends the run."""
-        isfinite = math.isfinite
-        r = list(self.init)
-        r[0] = float(a)
-        if not isfinite(r[0]):
-            return None
+        """Value at x = a, or None where eval_real calls it undefined."""
+        return self.run((a,))[0]
+
+    def run(self, points) -> list[Optional[float]]:
+        """Values at x = each point, in order; None where undefined: at a
+        non-finite point, or where some step is undefined or non-finite.
+        Runs in blocks of _BLOCK points, so the columns of one block are
+        all that is live beyond the points and the values."""
+        xs = list(map(float, points))
+        return [v for s in range(0, len(xs), _BLOCK) for v in self._run_block(xs[s:s + _BLOCK])]
+
+    def _run_block(self, xs: list[float]) -> list[Optional[float]]:
+        n = len(xs)
+        r = [xs]
+        r += [[c] * n for c in self.init[1:]]
         push = r.append
         for op, i, j in self.steps:
-            if op == _ADD:
-                v = r[i] + r[j]
-                if not isfinite(v):
-                    return None
-            elif op == _MUL:
-                v = r[i] * r[j]
-                if not isfinite(v):
-                    return None
-            elif op == _SUB:
-                v = r[i] - r[j]
-                if not isfinite(v):
-                    return None
-            elif op == _NEG:
-                v = -r[i]
-            elif op == _POW:
-                v = _pow_real(r[i], j)
-                if v is None:
-                    return None
-            elif op == _INV:
-                u = r[i]
-                if u == 0.0:
-                    return None
-                v = 1.0 / u
-                if not isfinite(v):
-                    return None
-            elif op == _SIN:
-                v = math.sin(r[i])
-            elif op == _COS:
-                v = math.cos(r[i])
-            elif op == _EXP:
-                try:
-                    v = math.exp(r[i])
-                except OverflowError:
-                    return None
-                if not isfinite(v):
-                    return None
-            elif op == _LN:
-                u = r[i]
-                if u <= 0.0:
-                    return None
-                v = math.log(u)
-                if not isfinite(v):
-                    return None
-            elif op == _TAN:
-                u = r[i]
-                c = math.cos(u)
-                if abs(c) <= _TAN_POLE_EPS:
-                    return None
-                v = math.sin(u) / c
-                if not isfinite(v):
-                    return None
-            else:  # _UNDEF
-                return None
-            push(v)
-        return r[-1]
+            push(_COLUMN[op](r[i], r[j] if op <= _SUB else j))
+        col = r[-1]
+        if not all(map(math.isfinite, xs)):  # undefined there even where x is unused
+            col = [v if a - a == 0.0 else _NAN for v, a in zip(col, xs)]
+        return [v if v - v == 0.0 else None for v in col]
+
+
+def _sin(u: list, _=None) -> list:
+    try:
+        return list(map(math.sin, u))
+    except ValueError:  # an infinity
+        return [math.sin(v) if v - v == 0.0 else _NAN for v in u]
+
+
+def _cos(u: list, _=None) -> list:
+    try:
+        return list(map(math.cos, u))
+    except ValueError:
+        return [math.cos(v) if v - v == 0.0 else _NAN for v in u]
+
+
+def _tan(u: list, _) -> list:
+    return [s / c if abs(c) > _TAN_POLE_EPS else _NAN for s, c in zip(_sin(u), _cos(u))]
+
+
+def _inv(u: list, _) -> list:
+    return [1.0 / v if v - v == 0.0 and v != 0.0 else _NAN for v in u]
+
+
+def _ln(u: list, _) -> list:
+    return [math.log(v) if v > 0.0 else _NAN for v in u]
+
+
+def _exp(u: list, _) -> list:
+    exp = math.exp
+    # a finite v below 709 cannot overflow; the rest take the slow path
+    return [exp(v) if -math.inf < v < 709.0 else _exp_edge(v) for v in u]
+
+
+def _exp_edge(v: float) -> float:
+    if v - v != 0.0:
+        return _NAN
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return _NAN
+
+
+def _pow(u: list, e: tuple) -> list:
+    """u**c for the exponent e = _exponent(c), c = p/q: defined for
+    u > 0, for u = 0 when c > 0, and for u < 0 when q is odd."""
+    fc, positive, odd_p, odd_q = e
+    pow_ = math.pow
+    out = []
+    push = out.append
+    for v in u:
+        if v == 0.0:
+            push(0.0 if positive else _NAN)
+        elif fc is None or v - v != 0.0 or (v < 0.0 and not odd_q):
+            push(_NAN)
+        else:
+            try:
+                if v > 0.0:
+                    push(pow_(v, fc))
+                else:
+                    mag = pow_(-v, fc)
+                    push(-mag if odd_p else mag)
+            except OverflowError:
+                push(_NAN)
+    return out
+
+
+def _undef(u: list, _) -> list:
+    return [_NAN] * len(u)
+
+
+# Each opcode's step on columns: (register column i, register column j)
+# for the binary ones, (register column i, j) for the others.
+_COLUMN = (
+    lambda u, v: list(map(add, u, v)),
+    lambda u, v: list(map(mul, u, v)),
+    lambda u, v: list(map(sub, u, v)),
+    lambda u, _: list(map(neg, u)),
+    _pow, _inv, _sin, _cos, _exp, _ln, _tan, _undef,
+)
 
 
 def compile_real(t: SynTerm) -> Optional[RealProgram]:
@@ -574,18 +627,16 @@ def eval_real(t: SynTerm, a: float) -> RealResult:
     of a nonpositive number, u^(p/q) with u < 0 and q even (or u = 0
     and the exponent not positive), tan within 1e-12 of a pole, a
     non-finite point, or any literal or intermediate value that is
-    non-finite as a float.
+    non-finite as a float.  Lowers t and runs its program over the
+    one-point list [a]; to evaluate at many points, lower once with
+    compile_real and call its ``run``.
     """
     return RealResult(_lowered(t)(a))
 
 
-def _finite(v: float) -> Optional[float]:
-    return v if math.isfinite(v) else None
-
-
 def _exponent(c: Fraction) -> tuple:
     """A power's exponent c = p/q in lowest terms, read once for
-    _pow_real: float(c) (None when too large for a float), whether
+    _pow: float(c) (None when too large for a float), whether
     c > 0, whether p is odd and whether q is odd."""
     try:
         fc = float(c)
@@ -594,26 +645,11 @@ def _exponent(c: Fraction) -> tuple:
     return fc, c > 0, c.numerator % 2 == 1, c.denominator % 2 == 1
 
 
-def _pow_real(u: float, e: tuple) -> Optional[float]:
-    """u**c for the exponent e = _exponent(c), c = p/q: defined for
-    u > 0, for u = 0 when c > 0, and for u < 0 when q is odd."""
-    fc, positive, odd_p, odd_q = e
-    if u == 0.0:
-        return 0.0 if positive else None
-    if fc is None or (u < 0.0 and not odd_q):
-        return None
-    try:
-        if u > 0.0:
-            return _finite(math.pow(u, fc))
-        mag = math.pow(-u, fc)
-        return _finite(-mag if odd_p else mag)
-    except OverflowError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # numeric derivative and the pointwise audit
 
+# the three steps of the estimate, each ten times the next, as its
+# Richardson extrapolation assumes
 _H_STEPS = (1e-3, 1e-4, 1e-5)
 _CONVERGENCE_REL = 1e-3
 
@@ -635,38 +671,41 @@ def deriv_numeric(t: SynTerm, a: float) -> RealResult:
     sample window, floating-point evaluation has provably absorbed the
     contribution of x (as in x - exp(576)); the flat window says
     nothing about the real-valued derivative, so none is reported.
+
+    The term's program runs once, over the seven abscissae.
     """
-    return _deriv_numeric(_lowered(t), float(a))
+    f = _lowered(t)
+    return RealResult(_estimate(f.run(_abscissae(float(a))), f.uses_x))
 
 
-def _deriv_numeric(f: RealProgram, a: float) -> RealResult:
-    mid = f(a)
-    if mid is None:
-        return RealResult.undefined()
-    qs = []
-    peak = 0.0
-    flat = True
+def _abscissae(a: float) -> list[float]:
+    """Where the estimate at a samples: a, then a + h and a - h for each
+    step h of _H_STEPS."""
+    out = [a]
     for h in _H_STEPS:
-        fp = f(a + h)
-        fm = f(a - h)
-        if fp is None or fm is None:
-            return RealResult.undefined()
-        peak = max(peak, abs(fp), abs(fm))
-        flat = flat and fp == mid and fm == mid
-        qs.append((fp - fm) / (2.0 * h))
-    if flat and f.uses_x:
-        return RealResult.undefined()
+        out += (a + h, a - h)
+    return out
 
-    def agree(q1: float, q2: float) -> bool:
-        return abs(q1 - q2) <= _CONVERGENCE_REL * max(abs(q1), abs(q2))
 
-    if not (agree(qs[0], qs[1]) and agree(qs[1], qs[2])):
-        return RealResult.undefined()
-    d = (100.0 * qs[2] - qs[1]) / 99.0
-    noise = math.ulp(1.0) * peak / _H_STEPS[-1]
-    if noise > _CONVERGENCE_REL * max(1.0, abs(d)):
-        return RealResult.undefined()
-    return RealResult.defined(d)
+def _estimate(ys: list, uses_x: bool) -> Optional[float]:
+    """deriv_numeric's value from the values at _abscissae(a), in their
+    order; None where it abstains."""
+    if None in ys:
+        return None
+    mid, p1, m1, p2, m2, p3, m3 = ys
+    if uses_x and p1 == mid and m1 == mid and p2 == mid and m2 == mid and p3 == mid and m3 == mid:
+        return None
+    h1, h2, h3 = _H_STEPS
+    q1, q2, q3 = (p1 - m1) / (2.0 * h1), (p2 - m2) / (2.0 * h2), (p3 - m3) / (2.0 * h3)
+    if not (abs(q1 - q2) <= _CONVERGENCE_REL * max(abs(q1), abs(q2))
+            and abs(q2 - q3) <= _CONVERGENCE_REL * max(abs(q2), abs(q3))):
+        return None
+    d = (100.0 * q3 - q2) / 99.0
+    peak = max(abs(p1), abs(m1), abs(p2), abs(m2), abs(p3), abs(m3))
+    noise = math.ulp(1.0) * peak / h3
+    if noise > _CONVERGENCE_REL * max(1.0, abs(d)) or not math.isfinite(d):
+        return None
+    return d
 
 
 _ABS_TOL = 1e-4
@@ -700,22 +739,27 @@ def check_spec_diff(t: SynTerm, points: list[float]) -> DiffCheckReport:
     claim is made there); where it does, the symbolic derivative must
     be defined and agree within max(1e-4, 1e-4 * |numeric|).  The
     report carries the derivative it audited.
+
+    Each program runs once: t's over all the points' abscissae, then
+    the derivative's over the points where the estimate exists, and not
+    at all when there are none.
     """
     dt = diff(t)
     if dt is None:
         raise ValueError("not in the differentiable language")
     f, df = _lowered(t), _lowered(dt)
     report = DiffCheckReport(term=t, derivative=dt)
-    for a in points:
-        want = _deriv_numeric(f, float(a))
-        if not want.is_defined:
-            report.skipped += 1
-            continue
-        report.checked += 1
-        got = df(a)
-        tol = max(_ABS_TOL, _REL_TOL * abs(want.value))
-        if got is None or abs(got - want.value) > tol:
-            report.violations.append(DiffViolation(a, want.value, got))
+    width = 1 + 2 * len(_H_STEPS)
+    ys = f.run([b for a in points for b in _abscissae(float(a))])
+    wants = [_estimate(ys[k:k + width], f.uses_x) for k in range(0, len(ys), width)]
+    checked = [(a, want) for a, want in zip(points, wants) if want is not None]
+    report.checked = len(checked)
+    report.skipped = len(wants) - len(checked)
+    if checked:
+        for (a, want), got in zip(checked, df.run([a for a, _ in checked])):
+            tol = max(_ABS_TOL, _REL_TOL * abs(want))
+            if got is None or abs(got - want) > tol:
+                report.violations.append(DiffViolation(a, want, got))
     return report
 
 
@@ -753,8 +797,5 @@ def domain_sample(t: SynTerm, lo: float, hi: float, n: int) -> DomainReport:
     if not lo < hi:
         raise ValueError("need lo < hi")
     f = _lowered(t)
-    entries = []
-    for i in range(n):
-        a = lo + (hi - lo) * i / (n - 1)
-        entries.append(DomainPoint(a, f(a) is not None))
-    return DomainReport(tuple(entries))
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return DomainReport(tuple(DomainPoint(a, v is not None) for a, v in zip(grid, f.run(grid))))

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, output formats, and the exit
 code contract (0 ok, 2 parse/usage error, 3 undefined result, 4 check
-counterexample, 5 an integer past the int/str digit limit).
+counterexample, 5 an integer past the int/str digit limit or a
+domain grid past its cap).
 """
 
 from __future__ import annotations
@@ -142,6 +143,33 @@ def test_digit_limit_exits_5(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert "more than 4300 decimal digits" in err
+
+
+def test_domain_grid_past_the_cap_exits_5_before_any_work(capsys, monkeypatch):
+    """Above DOMAIN_MAX_POINTS the command stops before it parses,
+    lowers or evaluates; at the cap it runs."""
+    from microcas import cli
+    from microcas.differentiation import DomainPoint, DomainReport
+
+    def refuse(*args):
+        raise AssertionError("domain did work past its grid cap")
+
+    monkeypatch.setattr(cli, "parse", refuse)
+    monkeypatch.setattr(cli, "domain_sample", refuse)
+    for n in (cli.DOMAIN_MAX_POINTS + 1, 10**30):
+        code, out, err = run(capsys, "domain", "inv(x)", "--n", str(n))
+        assert (code, out) == (5, "")
+        assert err == "resource limit: more than 1000000 grid points (--n), the limit for domain\n"
+    monkeypatch.undo()
+    asked = []
+
+    def stub(t, lo, hi, n):
+        asked.append(n)
+        return DomainReport((DomainPoint(0.0, True),))
+
+    monkeypatch.setattr(cli, "domain_sample", stub)
+    code, out, _ = run(capsys, "domain", "inv(x)", "--n", str(cli.DOMAIN_MAX_POINTS))
+    assert (code, out, asked) == (0, "x = 0: defined\n", [cli.DOMAIN_MAX_POINTS])
 
 
 def test_domain_text_and_json(capsys):

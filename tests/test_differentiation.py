@@ -12,19 +12,28 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microcas.differentiation import (
+    ADD_R,
     COS_R,
+    EXP_R,
     INV_R,
+    LN_R,
     MUL_R,
     NEG_R,
+    POW_R,
     SIN_R,
     SUB_R,
+    TAN_R,
     X_R,
+    RealProgram,
     check_spec_diff,
     compile_real,
     deriv_numeric,
@@ -535,6 +544,194 @@ def test_check_spec_diff_reports():
     assert rep2.derivative == dx("inv(x)")
     with pytest.raises(ValueError):
         check_spec_diff(IntLit(1), [0.0])
+
+
+# -- the batched run against an independent evaluator -----------------------
+
+
+def _reference_value(t, a: float) -> Optional[float]:
+    """The value of t at x = a by the documented rules, walking the term
+    tree recursively with math alone: None at a non-finite point and
+    where a subterm is undefined or non-finite.  Shares no code with
+    compile_real."""
+    return _reference(t, a, {}) if math.isfinite(a) else None
+
+
+def _reference(t, a: float, memo: dict) -> Optional[float]:
+    """memo, keyed by node id, keeps shared subterms of derivatives from
+    being re-walked."""
+    key = id(t)
+    if key not in memo:
+        memo[key] = _reference_node(t, a, memo)
+    return memo[key]
+
+
+def _reference_node(t, a: float, memo: dict) -> Optional[float]:
+    if t == X_R:
+        v = a
+    elif isinstance(t, Const):
+        try:
+            v = float(Fraction(t.symbol))
+        except OverflowError:
+            return None
+    else:
+        for op in (ADD_R, SUB_R, MUL_R):
+            parts = match_binary(t, op)
+            if parts is not None:
+                u, w = (_reference(p, a, memo) for p in parts)
+                if u is None or w is None:
+                    return None
+                v = u + w if op is ADD_R else u - w if op is SUB_R else u * w
+                return v if math.isfinite(v) else None
+        parts = match_binary(t, POW_R)
+        if parts is not None:
+            return _reference_pow(_reference(parts[0], a, memo), Fraction(parts[1].symbol))
+        for op in (NEG_R, INV_R, EXP_R, LN_R, SIN_R, COS_R, TAN_R):
+            arg = match_unary(t, op)
+            if arg is not None:
+                break
+        u = _reference(arg, a, memo)
+        if u is None:
+            return None
+        if op is NEG_R:
+            v = -u
+        elif op is INV_R:
+            if u == 0.0:
+                return None
+            v = 1.0 / u
+        elif op is EXP_R:
+            try:
+                v = math.exp(u)
+            except OverflowError:
+                return None
+        elif op is LN_R:
+            if u <= 0.0:
+                return None
+            v = math.log(u)
+        elif op is SIN_R:
+            v = math.sin(u)
+        elif op is COS_R:
+            v = math.cos(u)
+        else:
+            c = math.cos(u)
+            if abs(c) <= 1e-12:  # within 1e-12 of a pole
+                return None
+            v = math.sin(u) / c
+    return v if math.isfinite(v) else None
+
+
+def _reference_pow(u: Optional[float], c: Fraction) -> Optional[float]:
+    """u^(p/q): defined for u > 0, for u = 0 when c > 0, and for u < 0
+    when q is odd, with the sign of (-1)^p."""
+    if u is None:
+        return None
+    if u == 0.0:
+        return 0.0 if c > 0 else None
+    if u < 0.0 and c.denominator % 2 == 0:
+        return None
+    try:
+        mag = math.pow(abs(u), float(c))
+    except OverflowError:
+        return None
+    v = -mag if u < 0.0 and c.numerator % 2 == 1 else mag
+    return v if math.isfinite(v) else None
+
+
+_HOSTILE = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.pi / 2, -math.pi / 2, 709.78, 710.0,
+            -745.2, 1e8, math.nan, math.inf, -math.inf, 1.0, -1.0]
+
+
+def _bits(v: Optional[float]) -> Optional[str]:
+    return None if v is None else v.hex()
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+    st.lists(st.sampled_from(_HOSTILE) | st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=30),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_run_matches_an_independent_evaluator(seed, derivative, points):
+    t = draw_diff_expr(random.Random(seed), GenConfig(seed=seed))
+    if derivative:
+        t = diff(t)
+    prog = compile_real(t)
+    got = prog.run(points)
+    assert [_bits(v) for v in got] == [_bits(_reference_value(t, a)) for a in points], to_infix(t)
+    # a point alone has the value it has inside a longer list
+    assert [_bits(prog(a)) for a in points] == [_bits(v) for v in got]
+    assert [_bits(eval_real(t, a).value) for a in points[:3]] == [_bits(v) for v in got[:3]]
+
+
+# An intermediate that overflows to +-inf before each step that would
+# otherwise hide it: 1/inf is 0, exp(-inf) is 0, sin(inf) raises.
+_PAST_AN_OVERFLOW = [
+    "inv(x * x)", "inv(-(x * x))", "exp(-(x * x))", "exp(x * x)", "sin(x * x)", "cos(-(x * x))",
+    "tan(x * x)", "ln(x * x)", "(x * x)^(1/3)", "(-(x * x))^(1/3)", "(x * x)^0", "x * x - x * x",
+    "0 * (x * x)", "exp(x) * 0", "inv(exp(x) - exp(x))", "3", "x^(1/2)",
+]
+
+
+@pytest.mark.parametrize("src", _PAST_AN_OVERFLOW)
+def test_batched_run_matches_the_reference_past_an_overflow(src):
+    t = dx(src)
+    got = compile_real(t).run(_HOSTILE)
+    assert [_bits(v) for v in got] == [_bits(_reference_value(t, a)) for a in _HOSTILE]
+
+
+def test_runs_in_blocks_give_the_values_of_single_points():
+    t = dx("tan(x)^(1/3) + ln(x) * exp(x^2) - inv(sin(x))")
+    prog = compile_real(t)
+    points = [-3.0 + 6.0 * i / 2600 for i in range(2601)] + _HOSTILE
+    got = prog.run(points)
+    assert len(got) == len(points)
+    assert [_bits(v) for v in got] == [_bits(prog(a)) for a in points]
+    assert [_bits(v) for v in got] == [_bits(_reference_value(t, a)) for a in points]
+    assert prog.run([]) == []
+
+
+def test_check_spec_diff_runs_each_program_once(monkeypatch):
+    """t's program once over all the abscissae, then the derivative's
+    once over the points with an estimate, or not at all."""
+    runs = []
+    real_run = RealProgram.run
+
+    def counted(self, points):
+        points = list(points)
+        runs.append(len(points))
+        return real_run(self, points)
+
+    monkeypatch.setattr(RealProgram, "run", counted)
+    grid = [-2.5 + 5.0 * i / 24 for i in range(25)]
+    rng = random.Random(17)
+    cfg = GenConfig(seed=17)
+    for _ in range(60):
+        runs.clear()
+        rep = check_spec_diff(draw_diff_expr(rng, cfg), grid)
+        assert runs[0] == 7 * len(grid)
+        assert runs[1:] == ([rep.checked] if rep.checked else [])
+    runs.clear()
+    rep = check_spec_diff(dx("ln(x)"), [-2.0, -1.0, 0.0])
+    assert (rep.checked, rep.skipped, runs) == (0, 3, [21])
+
+
+def test_domain_sample_memory_is_bounded_in_blocks():
+    """20,000 points through a 52-step program: the columns live one
+    block at a time, so the peak stays near what the report itself
+    takes (about 2.6 MB); unblocked columns would take about 33 MB."""
+    s = "x/7"
+    for i in range(50):
+        s = f"exp({s})" if i % 2 else f"sin({s})"
+    t = dx(s)
+    assert len(compile_real(t).steps) == 52
+    tracemalloc.start()
+    try:
+        rep = domain_sample(t, -2.0, 2.0, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.entries) == 20_000
+    assert peak < 8_000_000, peak
 
 
 # -- domain sampling -------------------------------------------------------
