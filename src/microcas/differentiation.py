@@ -444,18 +444,17 @@ class RealProgram:
         return [v if v - v == 0.0 else None for v in col]
 
 
-def _sin(u: list, _=None) -> list:
-    try:
-        return list(map(math.sin, u))
-    except ValueError:  # an infinity
-        return [math.sin(v) if v - v == 0.0 else _NAN for v in u]
+def _trig(fn):
+    def step(u: list, _=None) -> list:
+        try:
+            return list(map(fn, u))
+        except ValueError:  # an infinity
+            return [fn(v) if v - v == 0.0 else _NAN for v in u]
+
+    return step
 
 
-def _cos(u: list, _=None) -> list:
-    try:
-        return list(map(math.cos, u))
-    except ValueError:
-        return [math.cos(v) if v - v == 0.0 else _NAN for v in u]
+_sin, _cos = _trig(math.sin), _trig(math.cos)
 
 
 def _tan(u: list, _) -> list:

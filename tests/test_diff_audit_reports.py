@@ -14,7 +14,10 @@ suite fails one ``pointwise-agreement`` case on a right derivative
   point: ``d`` defined, ``u`` undefined.
 
 Every outcome must be the one recorded in
-tests/data/diff_audit_reports.json, bit for bit.
+tests/data/diff_audit_reports.json, bit for bit.  The record pins the
+one false counterexample of each of the last three seeds, with its
+witness; it does not bless it, and is re-recorded when the diff
+contract's oracle changes.
 
 Regenerate the file (only when an output change is intended) with
     PYTHONPATH=src python tests/test_diff_audit_reports.py > tests/data/diff_audit_reports.json
@@ -37,16 +40,15 @@ from microcas.printing import to_sexpr
 RECORDED = Path(__file__).parent / "data" / "diff_audit_reports.json"
 
 SEEDS = [(seed, 200) for seed in range(5)] + [(1065816727, 100), (2043115, 100), (720394258, 100)]
-ITEM1_SEEDS = (1065816727, 2043115, 720394258)
 
 
-def inputs() -> list[tuple[int, object]]:
-    """(seed, term) for each draw, in the order the diff suite draws them."""
+def inputs() -> list:
+    """Each seed's draws, in the order the diff suite draws them."""
     out = []
     for seed, draws in SEEDS:
         rng = random.Random(seed)
         cfg = GenConfig(seed=seed, cases=draws)
-        out += [(seed, draw_diff_expr(rng, cfg)) for _ in range(draws)]
+        out += [draw_diff_expr(rng, cfg) for _ in range(draws)]
     return out
 
 
@@ -69,19 +71,11 @@ def draws() -> list:
 
 def test_diff_audit_reports_match_recorded(draws):
     recorded = json.loads(RECORDED.read_text())
-    got = [outcome(t) for _, t in draws]
+    got = [outcome(t) for t in draws]
     assert [row[0] for row in got] == [row[0] for row in recorded], "the draws changed"
     mismatches = [(i, want, have) for i, (want, have) in enumerate(zip(recorded, got)) if want != have]
     assert not mismatches, mismatches[:5]
 
 
-def test_item1_seeds_still_fail_one_case_each(draws):
-    """The three seeds' one false counterexample stays until the diff
-    contract's oracle changes; this gate pins it, it does not bless it."""
-    for seed in ITEM1_SEEDS:
-        failing = [t for s, t in draws if s == seed and check_spec_diff(t, harness._DIFF_GRID).violations]
-        assert len(failing) == 1, seed
-
-
 if __name__ == "__main__":
-    print(json.dumps([outcome(t) for _, t in inputs()], indent=0))
+    print(json.dumps([outcome(t) for t in inputs()], indent=0))
