@@ -8,9 +8,10 @@ in one bottom-up fold, tidied by ``simplify``'s rules as it goes; the
 rewrite is purely syntactic and never sees a number.
 
 Terms are lowered once and evaluated many times.  ``compile_real``
-decides membership and lowers a term, in one iterative pass, to a
+decides membership and lowers a term, in one ``fold``, to a
 straight-line program whose literals are floats read once and whose
-shared subterms are computed once.  Running the program over a list of
+shared subterms are computed once; a power's exponent is read exactly,
+from the literal's value, and takes no register of its own.  Running the program over a list of
 points, a step at a time with one column of floats per register, is the
 only float evaluator of the language.  It is strict and partial:
 inverse of zero, ln of a nonpositive value, fractional powers outside
@@ -30,16 +31,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, neg, sub
-from sys import getrefcount
 from typing import Optional
 
 from .terms import (
-    ONE_REFERRER,
     REAL,
     App,
     Arrow,
     Const,
     NotInLanguage,
+    Steps,
     SynTerm,
     Var,
     fold,
@@ -379,20 +379,12 @@ _NAN = math.nan
 _BLOCK = 1024
 
 # Step opcodes of a lowered term; the binary ones (two register
-# operands) come first.  _UNDEF is a literal too large for a float.
-_ADD, _MUL, _SUB, _NEG, _POW, _INV, _SIN, _COS, _EXP, _LN, _TAN, _UNDEF = range(12)
-_BINARY = {ADD_R.symbol: _ADD, MUL_R.symbol: _MUL, SUB_R.symbol: _SUB, POW_R.symbol: _POW}
-_UNARY = {
-    NEG_R.symbol: _NEG,
-    INV_R.symbol: _INV,
-    EXP_R.symbol: _EXP,
-    LN_R.symbol: _LN,
-    SIN_R.symbol: _SIN,
-    COS_R.symbol: _COS,
-    TAN_R.symbol: _TAN,
-}
-_EMIT = object()  # on the work stack, above the op and operand of a step
-_KEEP = object()  # above a node with more than one referrer, to keep its id
+# operands) come first.
+_ADD, _MUL, _SUB, _NEG, _POW, _INV, _SIN, _COS, _EXP, _LN, _TAN = range(11)
+_STEP_BINARY = op_table({ADD_R: _ADD, MUL_R: _MUL, SUB_R: _SUB})
+_STEP_UNARY = op_table({
+    NEG_R: _NEG, INV_R: _INV, EXP_R: _EXP, LN_R: _LN, SIN_R: _SIN, COS_R: _COS, TAN_R: _TAN,
+})
 
 
 @dataclass(frozen=True)
@@ -400,9 +392,11 @@ class RealProgram:
     """A term of the real language lowered to straight-line code.
 
     Register 0 holds x and the next ``len(init) - 1`` registers the
-    term's literals, as floats; step k, an ``(op, i, j)`` triple, writes
-    register ``len(init) + k`` from registers i and j (j is a power's
-    exponent as ``_exponent`` reads it, unused by unary steps).  The
+    term's literals, as floats (±inf for one too large for a float, so
+    everything it reaches is undefined); step k, an ``(op, i, j)``
+    triple, writes register ``len(init) + k`` from registers i and j (j
+    is a power's exponent as ``_exponent`` reads it, unused by unary
+    steps).  The
     last register is the term's value.  Shared subterms are computed
     once.
 
@@ -425,10 +419,13 @@ class RealProgram:
 
     def run(self, points) -> list[Optional[float]]:
         """Values at x = each point, in order; None where undefined: at a
-        non-finite point, or where some step is undefined or non-finite.
-        Runs in blocks of _BLOCK points, so the columns of one block are
+        non-finite point (a point too large for a float reads as ±inf),
+        or where some step is undefined or non-finite.  Runs in blocks of _BLOCK points, so the columns of one block are
         all that is live beyond the points and the values."""
-        xs = list(map(float, points))
+        try:
+            xs = list(map(float, points))
+        except OverflowError:
+            xs = list(map(_to_float, points))
         return [v for s in range(0, len(xs), _BLOCK) for v in self._run_block(xs[s:s + _BLOCK])]
 
     def _run_block(self, xs: list[float]) -> list[Optional[float]]:
@@ -508,10 +505,6 @@ def _pow(u: list, e: tuple) -> list:
     return out
 
 
-def _undef(u: list, _) -> list:
-    return [_NAN] * len(u)
-
-
 # Each opcode's step on columns: (register column i, register column j)
 # for the binary ones, (register column i, j) for the others.
 _COLUMN = (
@@ -519,97 +512,73 @@ _COLUMN = (
     lambda u, v: list(map(mul, u, v)),
     lambda u, v: list(map(sub, u, v)),
     lambda u, _: list(map(neg, u)),
-    _pow, _inv, _sin, _cos, _exp, _ln, _tan, _undef,
+    _pow, _inv, _sin, _cos, _exp, _ln, _tan,
 )
 
 
 def compile_real(t: SynTerm) -> Optional[RealProgram]:
-    """Lower t to a RealProgram in one pass, or None when t is not in
+    """Lower t to a RealProgram in one ``fold``, or None when t is not in
     the differentiable language (exactly when is_diff_expr(t) is
     false).
 
-    The pass is iterative, so term depth is bounded by memory only.
-    Each literal is read once; one too large for a float becomes a step
-    that is undefined everywhere.  Steps are numbered by value: a step
-    whose (op, i, j) triple already exists reuses its register.  A node
-    with more than one referrer keeps its operand id, by ``id(node)``, so
-    each distinct node is lowered once and the pass is linear in the
-    number of distinct nodes.
+    The leaf gives x register 0 and each distinct literal, read once,
+    the next free register; the operator entries emit steps through
+    ``Steps``, numbered by value, so a step whose (op, i, j) triple
+    already exists reuses its register.  A power reads its exponent's
+    exact value from the leaf's side table of literal registers, and
+    hands back the register when the leaf has just made it for the
+    exponent alone, so a literal used only as an exponent takes none.
+    Like every fold, the pass is iterative, reads copies of registered
+    constants and lowers each distinct node once.
     """
-    init: list[float] = [0.0]
-    literals: dict[str, int] = {}
-    steps: list[tuple] = []
-    numbering: dict[tuple, int] = {}
-    kept: dict[int, int] = {}
+    literals: dict[str, int] = {}  # each literal's text to its operand id
+    values: dict[int, Fraction] = {}  # each literal's operand id, in order, to its value
+    made: Optional[str] = None  # the literal that the last literal leaf registered
     uses_x = False
-    # Operands are ids: -1 is x, -1 - k is init[k], k >= 0 is steps[k].
-    ids: list[int] = []
-    todo: list = [t]
-    while todo:
-        node = todo.pop()
-        if node is _EMIT:
-            op, c = todo.pop(), todo.pop()
-            i = ids.pop()
-            key = (op, ids.pop(), i) if op <= _SUB else (op, i, c)
-            k = numbering.get(key)
-            if k is None:
-                k = numbering[key] = len(steps)
-                steps.append(key)
-            ids.append(k)
-        elif node is _KEEP:
-            kept[id(todo.pop())] = ids[-1]
-        elif isinstance(node, App):
-            if kept and id(node) in kept:
-                ids.append(kept[id(node)])
-                continue
-            if getrefcount(node) > ONE_REFERRER and node is not t:
-                todo += (node, _KEEP)
-            f = node.fun
-            if isinstance(f, Const):
-                op = _UNARY.get(f.symbol) if f.ty == _R1 else None
-                if op is None:
-                    return None
-                todo += (None, op, _EMIT, node.arg)
-            elif isinstance(f, App) and isinstance(f.fun, Const):
-                g = f.fun
-                op = _BINARY.get(g.symbol) if g.ty == _R3 else None
-                if op is None:
-                    return None
-                if op == _POW:
-                    c = lit_value(node.arg)
-                    if c is None:
-                        return None
-                    todo += (_exponent(c), op, _EMIT, f.arg)
-                else:
-                    todo += (None, op, _EMIT, node.arg, f.arg)
-            else:
-                return None
-        elif isinstance(node, Const) and node.ty == REAL:
+
+    def leaf(node: SynTerm) -> int:
+        nonlocal made, uses_x
+        if type(node) is Const and node.ty == REAL:
+            made = None
             k = literals.get(node.symbol)
             if k is None:
                 c = lit_value(node)
                 if c is None:
-                    return None
-                try:
-                    init.append(float(c))
-                    k = -len(init)
-                except OverflowError:
-                    k = len(steps)
-                    steps.append((_UNDEF, -1, None))
-                literals[node.symbol] = k
-            ids.append(k)
-        elif node == X_R:
+                    raise NotInLanguage("not in the differentiable language")
+                made = node.symbol
+                k = literals[made] = ~(len(values) + 1)
+                values[k] = c
+            return k
+        if node == X_R:
             uses_x = True
-            ids.append(-1)
-        else:
-            return None
-    base = len(init)
+            return -1
+        raise NotInLanguage("not in the differentiable language")
 
-    def reg(k: int) -> int:
-        return -1 - k if k < 0 else base + k
+    def power(i: int, j: int) -> int:
+        c = values.get(j)
+        if c is None:
+            raise NotInLanguage("a power needs a rational-literal exponent")
+        if made is not None:  # the exponent's leaf, just now: give the register back
+            del values[literals.pop(made)]
+        return steps.emit(_POW, i, _exponent(c))
 
-    lowered = tuple((op, reg(i), reg(j) if op <= _SUB else j) for op, i, j in steps)
-    return RealProgram(tuple(init), lowered, uses_x)
+    steps = Steps()
+    binary = steps.table(_STEP_BINARY)
+    binary[id(POW_R)] = power
+    try:
+        fold(t, leaf, steps.table(_STEP_UNARY), binary)
+    except NotInLanguage:
+        return None
+    init = (0.0, *map(_to_float, values.values()))
+    return RealProgram(init, steps.lowered(len(init), _SUB), uses_x)
+
+
+def _to_float(a) -> float:
+    """a as a float: ±inf where it is too large for one."""
+    try:
+        return float(a)
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
 
 
 def _lowered(t: SynTerm) -> RealProgram:
@@ -625,8 +594,9 @@ def eval_real(t: SynTerm, a: float) -> RealResult:
     Undefined exactly when some subterm forces it: inverse of zero, ln
     of a nonpositive number, u^(p/q) with u < 0 and q even (or u = 0
     and the exponent not positive), tan within 1e-12 of a pole, a
-    non-finite point, or any literal or intermediate value that is
-    non-finite as a float.  Lowers t and runs its program over the
+    non-finite point (an int or Fraction too large for a float reads as
+    ±inf), or any literal or intermediate value that is non-finite as a
+    float.  Lowers t and runs its program over the
     one-point list [a]; to evaluate at many points, lower once with
     compile_real and call its ``run``.
     """
@@ -674,7 +644,7 @@ def deriv_numeric(t: SynTerm, a: float) -> RealResult:
     The term's program runs once, over the seven abscissae.
     """
     f = _lowered(t)
-    return RealResult(_estimate(f.run(_abscissae(float(a))), f.uses_x))
+    return RealResult(_estimate(f.run(_abscissae(_to_float(a))), f.uses_x))
 
 
 def _abscissae(a: float) -> list[float]:
@@ -749,7 +719,7 @@ def check_spec_diff(t: SynTerm, points: list[float]) -> DiffCheckReport:
     f, df = _lowered(t), _lowered(dt)
     report = DiffCheckReport(term=t, derivative=dt)
     width = 1 + 2 * len(_H_STEPS)
-    ys = f.run([b for a in points for b in _abscissae(float(a))])
+    ys = f.run([b for a in points for b in _abscissae(_to_float(a))])
     wants = [_estimate(ys[k:k + width], f.uses_x) for k in range(0, len(ys), width)]
     checked = [(a, want) for a, want in zip(points, wants) if want is not None]
     report.checked = len(checked)
@@ -787,11 +757,12 @@ def domain_sample(t: SynTerm, lo: float, hi: float, n: int) -> DomainReport:
     """Evaluate on n evenly spaced points of [lo, hi], inclusive.
 
     The grid is lo + (hi-lo)*i/(n-1), which lands exactly on integer
-    grid points, so singularities at integers are actually hit.
+    grid points, so singularities at integers are actually hit.  lo and
+    hi must be finite as floats.
     """
     if n < 2:
         raise ValueError("need at least two sample points")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(_to_float(lo)) and math.isfinite(_to_float(hi))):
         raise ValueError("need finite lo and hi")
     if not lo < hi:
         raise ValueError("need lo < hi")

@@ -29,9 +29,9 @@ result by multiplying numerator and denominator by (x - a).
 
 Values at a point are computed on the original tree, where that
 strictness lives: ``compile_rat`` checks membership and lowers a term
-once, in one iterative pass, to a straight-line ``RatProgram`` over
-unreduced integer pairs whose shared subterms are computed once; the
-program is then run at each point.  ``eval_pointwise`` is one lowering
+once, in one ``fold``, to a straight-line ``RatProgram`` over unreduced
+integer pairs whose shared subterms are computed once; the program is
+then run at each point.  ``eval_pointwise`` is one lowering
 and one run.
 """
 
@@ -41,13 +41,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from sys import getrefcount
 from typing import Callable, Optional
 
 from .polynomials import ONE, Poly, X, ZERO, linear_part, poly_gcd, rational_roots
 from .terms import (
     FRAC,
-    ONE_REFERRER,
     RAT,
     App,
     Arrow,
@@ -58,13 +56,13 @@ from .terms import (
     NotInLanguage,
     RatLit,
     RatV,
+    Steps,
     SynTerm,
     Value,
     Var,
     fold,
     match_binary,
     match_unary,
-    op_entry,
     op_table,
     register_constant,
     register_evaluator,
@@ -136,9 +134,9 @@ UNDEFINED_NORMAL_FORM: SynTerm = q_mul(q_lit(1), q_inv(q_lit(0)))
 
 
 # ---------------------------------------------------------------------------
-# folds over the language: each membership test and value below, but
-# the value at a point, is one terms.fold with a leaf from _leaf and a
-# pair of operator tables
+# folds over the language: each membership test, value and lowering
+# below is one terms.fold with a leaf from _leaf and a pair of operator
+# tables
 
 
 def _leaf(lit: Callable[[Fraction], object], x: object) -> Callable[[SynTerm], object]:
@@ -320,8 +318,6 @@ def frac_value(t: SynTerm) -> Optional[CanonicalFraction]:
 _ADD, _MUL, _NEG, _INV = range(4)
 _STEP_BINARY = op_table({ADD_Q: _ADD, MUL_Q: _MUL})
 _STEP_UNARY = op_table({NEG_Q: _NEG, INV_Q: _INV})
-_EMIT = object()  # on the work stack, above the opcode of a step
-_KEEP = object()  # above a node with more than one referrer, to keep its id
 # A register whose denominator passes 4096 bits is reduced by its gcd.
 # Below that the pairs stay unreduced, since a gcd per step costs more
 # than the larger products it saves.  A common factor of a pair divides
@@ -391,82 +387,23 @@ class RatProgram:
 
 
 def compile_rat(t: SynTerm) -> RatProgram:
-    """Lower a rational expression to a RatProgram in one pass.  Raises
-    NotInLanguage, a ValueError, when t is not a rational expression.
+    """Lower a rational expression to a RatProgram in one ``fold``.
+    Raises NotInLanguage, a ValueError, when t is not a rational
+    expression.
 
-    The pass is iterative, so term depth is bounded by memory only.
-    Operators are read through ``op_entry``, so a copy of a registered
-    constant counts.  Each distinct literal is read once, and steps are
-    numbered by value: a step whose (op, i, j) triple already exists
-    reuses its register.  A node with more than one referrer keeps its
-    operand id, by ``id(node)``, so each distinct node is lowered once
-    and the pass is linear in the number of distinct nodes.
+    The leaf gives x register 0 and each distinct literal, read once,
+    the next free register; the operator entries emit steps through
+    ``Steps``, numbered by value, so a step whose (op, i, j) triple
+    already exists reuses its register.  Like every fold, the pass is
+    iterative, reads copies of registered constants and lowers each
+    distinct node once.
     """
-    nums: list[int] = [0]
-    dens: list[int] = [1]
-    literals: dict[tuple[int, int], int] = {}
-    steps: list[tuple] = []
-    numbering: dict[tuple, int] = {}
-    kept: dict[int, int] = {}
-    # Operands are ids: ~k (that is, -1 - k) is register k, x or a
-    # literal, and k >= 0 is steps[k].
-    ids: list[int] = []
-    todo: list = [t]
-    pop, push = todo.pop, ids.append
-    while todo:
-        node = pop()
-        if node is _EMIT:
-            op = pop()
-            i = ids.pop()
-            key = (op, ids.pop(), i) if op <= _MUL else (op, i, None)
-            k = numbering.get(key)
-            if k is None:
-                k = numbering[key] = len(steps)
-                steps.append(key)
-            push(k)
-        elif node is _KEEP:
-            kept[id(pop())] = ids[-1]
-        elif type(node) is App:
-            if kept and id(node) in kept:
-                push(kept[id(node)])
-                continue
-            if getrefcount(node) > ONE_REFERRER and node is not t:
-                todo += (node, _KEEP)
-            f = node.fun
-            if type(f) is App:
-                op = _STEP_BINARY.get(id(f.fun))
-                if op is None:
-                    op = op_entry(_STEP_BINARY, f.fun)
-                if op is not None:
-                    todo += (op, _EMIT, node.arg, f.arg)
-                    continue
-            else:
-                op = _STEP_UNARY.get(id(f))
-                if op is None:
-                    op = op_entry(_STEP_UNARY, f)
-                if op is not None:
-                    todo += (op, _EMIT, node.arg)
-                    continue
-            raise NotInLanguage("not a rational expression")
-        elif type(node) is RatLit:
-            c = node.value
-            lit = (c.numerator, c.denominator)
-            k = literals.get(lit)
-            if k is None:
-                k = literals[lit] = ~len(nums)
-                nums.append(lit[0])
-                dens.append(lit[1])
-            push(k)
-        elif node is X_Q or node == X_Q:
-            push(-1)
-        else:
-            raise NotInLanguage("not a rational expression")
-    base = len(nums)
-    lowered = tuple([
-        (op, base + i if i >= 0 else ~i, (base + j if j >= 0 else ~j) if op <= _MUL else None)
-        for op, i, j in steps
-    ])
-    return RatProgram(tuple(nums), tuple(dens), lowered)
+    literals: dict[tuple[int, int], int] = {}  # each literal, in order, to its operand id
+    leaf = _leaf(lambda c: literals.setdefault((c.numerator, c.denominator), ~(len(literals) + 1)), -1)
+    steps = Steps()
+    fold(t, leaf, steps.table(_STEP_UNARY), steps.table(_STEP_BINARY))
+    nums, dens = zip((0, 1), *literals)
+    return RatProgram(nums, dens, steps.lowered(len(nums), _MUL))
 
 
 def eval_pointwise(t: SynTerm, a: Fraction | int) -> Optional[Fraction]:

@@ -18,16 +18,17 @@ Constant signatures and the evaluators for each type but SYNTAX are
 registered by the modules that own them (factoring registers the
 integer operators, rational the rationals and the field of fractions,
 differentiation the real operators); importing the package top-level
-wires everything up.  Membership tests and exact values are computed
-bottom-up with ``fold``, the one walk with the one strictness rule: an
-undefined operand makes its whole term undefined.
+wires everything up.  Membership tests, exact values and the lowerings
+to straight-line code (with ``Steps``) are computed bottom-up with
+``fold``, the one walk with the one strictness rule: an undefined
+operand makes its whole term undefined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from sys import getrefcount
 from typing import Callable, Optional, Union
 
@@ -413,6 +414,35 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
         else:
             vals.append(leaf(node))
     return vals[0]
+
+
+class Steps:
+    """The steps of a term lowered by one ``fold`` to straight-line code,
+    numbered by value.  The fold's values are operand ids: ~k is register
+    k (x, or a literal that the caller's leaf has given a register), and
+    k >= 0 is step k.  ``emit`` adds the step ``(op, i, j)`` unless that
+    triple is already there, and returns its id, so a repeated subterm
+    is computed once."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}  # each step, in order, to its id
+
+    def emit(self, op: int, i: int, j=None) -> int:
+        return self.ids.setdefault((op, i, j), len(self.ids))
+
+    def table(self, opcodes: dict[int, int]) -> dict[int, Callable]:
+        """A fold operator table from an ``op_table`` of opcodes: each
+        entry emits its opcode's step."""
+        return {c: partial(self.emit, op) for c, op in opcodes.items()}
+
+    def lowered(self, registers: int, last_binary: int) -> tuple:
+        """The steps over register numbers, step k writing register
+        ``registers + k``.  Opcodes up to ``last_binary`` read registers
+        i and j; the others read register i and keep j as it is."""
+        return tuple([
+            (op, i + registers if i >= 0 else ~i, (j + registers if j >= 0 else ~j) if op <= last_binary else j)
+            for op, i, j in self.ids
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from microcas.harness import GenConfig, draw_diff_expr, draw_non_member
 from microcas.parser import parse
 from microcas.polynomials import Poly
 from microcas.printing import to_infix
-from microcas.terms import RAT, App, Const, IntLit, REAL, Var, match_binary, match_unary, same_term
+from microcas.terms import RAT, App, Arrow, Const, IntLit, REAL, Var, match_binary, match_unary, same_term
 
 
 def dx(src: str):
@@ -414,6 +414,38 @@ def test_non_finite_points_are_undefined():
             domain_sample(X_R, lo, hi, 3)
 
 
+@pytest.mark.parametrize("a", [10**400, -(10**400), Fraction(10**400, 3)], ids=["1e400", "-1e400", "1e400/3"])
+def test_eval_real_at_a_point_too_large_for_a_float_is_undefined(a):
+    assert not eval_real(X_R, a).is_defined
+    assert not eval_real(r_lit(3), a).is_defined
+
+
+def test_deriv_numeric_at_a_point_too_large_for_a_float_is_undefined():
+    assert not deriv_numeric(X_R, 10**400).is_defined
+    assert not deriv_numeric(r_sin(X_R), Fraction(-(10**400), 7)).is_defined
+
+
+def test_check_spec_diff_skips_a_point_too_large_for_a_float():
+    report = check_spec_diff(r_mul(X_R, X_R), [10**400, 1, Fraction(10**400, 3)])
+    assert (report.checked, report.skipped, report.ok) == (1, 2, True)
+
+
+def test_domain_sample_needs_bounds_that_are_finite_as_floats():
+    for lo, hi in ((-(10**400), 0), (0, 10**400), (Fraction(-(10**400), 3), 1)):
+        with pytest.raises(ValueError, match="need finite lo and hi"):
+            domain_sample(X_R, lo, hi, 3)
+
+
+def test_a_literal_only_in_an_exponent_takes_no_register():
+    # The exponent's register is handed back, so the later 2 is the
+    # first literal; one already in a register keeps it.
+    assert compile_real(r_add(r_pow(X_R, r_lit(2)), r_lit(2))).init == (0.0, 2.0)
+    assert compile_real(r_pow(X_R, r_lit(3))).init == (0.0,)
+    both = compile_real(r_pow(r_mul(r_lit(3), X_R), r_lit(3)))
+    assert both.init == (0.0, 3.0) and len(both.steps) == 2
+    assert compile_real(r_pow(r_pow(X_R, r_lit(2)), r_lit(2)))(3.0) == 81.0
+
+
 def test_lowering_shares_repeated_subterms():
     u = r_sin(r_add(X_R, r_lit(1)))
     prog = compile_real(r_mul(u, r_add(u, r_lit(1))))
@@ -467,6 +499,15 @@ def test_compile_real_lowers_a_dag_as_its_tree():
     assert compile_real(dag) == compile_real(tree)
     for a in (-1.5, 0.25, 2.0):
         assert compile_real(dag)(a) == compile_real(tree)(a)
+
+
+def test_compile_real_reads_copies_of_registered_constants():
+    r1, r3 = Arrow(REAL, REAL), Arrow(REAL, Arrow(REAL, REAL))
+    sin, power = Const("sin", r1), Const("^", r3)
+    t = App(sin, App(App(power, X_R), r_lit(2)))
+    assert t == dx("sin(x^2)") and sin is not SIN_R and power is not POW_R
+    assert compile_real(t) == compile_real(dx("sin(x^2)"))
+    assert compile_real(t)(2.0) == math.sin(4.0)
 
 
 def test_lowering_and_is_diff_expr_agree_on_membership():

@@ -12,9 +12,11 @@ import operator
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import microcas
 from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow, r_sin
 from microcas.factoring import ADD_I, i_add, i_mul, i_neg, i_pow
 from microcas.printing import to_infix, to_sexpr
@@ -264,6 +266,14 @@ def test_fold_applies_each_operator_once_per_distinct_node():
     value = fold(_ladder(zero, 12), leaf, unary, binary)
     assert value is None
     assert calls == {"+": 1, "-": 1, "inv": 1}
+
+
+def test_only_fold_reads_reference_counts():
+    """Sharing is detected in one walk: every other walk of a term is a
+    fold, so no other module reads CPython's reference counts."""
+    package = Path(microcas.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py") if "getrefcount" in p.read_text())
+    assert readers == ["terms.py"]
 
 
 def test_same_term_compares_each_pair_of_shared_nodes_once():
