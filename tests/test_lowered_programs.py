@@ -61,8 +61,11 @@ def inputs() -> dict[str, list]:
     return out
 
 
+OUTCOME = {"rat": _rat_outcome, "real": _real_outcome}
+
+
 def outcomes(terms: dict[str, list]) -> dict[str, list]:
-    return {"rat": [_rat_outcome(f) for f in terms["rat"]], "real": [_real_outcome(t) for t in terms["real"]]}
+    return {kind: [OUTCOME[kind](t) for t in ts] for kind, ts in terms.items()}
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +76,7 @@ def terms() -> dict[str, list]:
 @pytest.mark.parametrize("kind", ["rat", "real"])
 def test_lowered_programs_match_recorded(terms, kind):
     recorded = json.loads(RECORDED.read_text())[kind]
-    got = outcomes({"rat": [], "real": [], kind: terms[kind]})[kind]
+    got = [OUTCOME[kind](t) for t in terms[kind]]
     assert [row[0] for row in got] == [row[0] for row in recorded], "the input builder changed"
     mismatches = [(i, want, have) for i, (want, have) in enumerate(zip(recorded, got)) if want != have]
     assert not mismatches, mismatches[:5]
