@@ -8,110 +8,50 @@ the values they denote.  Every operation carries an executable
 contract; the harness module runs them as property suites over seeded
 random terms.
 
-Importing the package loads every operator module, which fills the
-typed-constant registry as a side effect; evaluate or parse nothing
-before this module finishes importing.
+Importing the package loads no submodule.  A public name, or a
+submodule, is loaded from the module that defines it when it is first
+reached (PEP 562), and read there again on every access, so
+``microcas.diff`` is always ``microcas.differentiation.diff``.  The
+signature of every language lives in ``terms``, so any term can be
+built, typed, parsed and printed without its algorithms; ``eval_as``
+loads the module that registers a type's evaluator the first time a
+term is read at that type.
 """
 
-from . import terms  # noqa: F401
-from . import factoring  # noqa: F401
-from . import polynomials  # noqa: F401
-from . import rational  # noqa: F401
-from . import differentiation  # noqa: F401
-from . import parser  # noqa: F401
-from . import printing  # noqa: F401
-from . import harness  # noqa: F401
-from . import cli  # noqa: F401
-
-from .terms import (
-    App,
-    Arrow,
-    Const,
-    IntLit,
-    Lambda,
-    Quote,
-    RatLit,
-    SynTerm,
-    Var,
-    eval_as,
-    infer_type,
-    quote,
-)
-from .polynomials import Poly
-from .factoring import PrimeFactorization, factor, factor_int, remult
-from .rational import (
-    CanonicalFraction,
-    compile_rat,
-    frac_value,
-    is_norm,
-    is_quasinorm,
-    is_rat_expr,
-    is_rat_fun,
-    norm_rat_expr,
-    norm_rat_fun,
-    quasinorm_rat_expr,
-    singular_points,
-)
-from .differentiation import (
-    compile_real,
-    deriv_numeric,
-    diff,
-    domain_sample,
-    eval_real,
-    is_diff_expr,
-    simplify,
-)
-from .parser import ParseError, PredicateViolation, parse
-from .printing import format_term, to_infix, to_json, to_sexpr
-from .harness import GenConfig, Report, check_all
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "App",
-    "Arrow",
-    "CanonicalFraction",
-    "Const",
-    "GenConfig",
-    "IntLit",
-    "Lambda",
-    "ParseError",
-    "Poly",
-    "PredicateViolation",
-    "PrimeFactorization",
-    "Quote",
-    "RatLit",
-    "Report",
-    "SynTerm",
-    "Var",
-    "check_all",
-    "compile_rat",
-    "compile_real",
-    "deriv_numeric",
-    "diff",
-    "domain_sample",
-    "eval_as",
-    "eval_real",
-    "factor",
-    "factor_int",
-    "format_term",
-    "frac_value",
-    "infer_type",
-    "is_diff_expr",
-    "is_norm",
-    "is_quasinorm",
-    "is_rat_expr",
-    "is_rat_fun",
-    "norm_rat_expr",
-    "norm_rat_fun",
-    "parse",
-    "quasinorm_rat_expr",
-    "quote",
-    "remult",
-    "simplify",
-    "singular_points",
-    "to_infix",
-    "to_json",
-    "to_sexpr",
-    "__version__",
-]
+# Each public name, by the submodule that defines it.
+_OWNERS = {
+    "terms": ("App", "Arrow", "Const", "IntLit", "Lambda", "Quote", "RatLit", "SynTerm", "Var",
+              "eval_as", "infer_type", "quote"),
+    "polynomials": ("Poly",),
+    "factoring": ("PrimeFactorization", "factor", "factor_int", "remult"),
+    "rational": ("CanonicalFraction", "compile_rat", "frac_value", "is_norm", "is_quasinorm",
+                 "is_rat_expr", "is_rat_fun", "norm_rat_expr", "norm_rat_fun", "quasinorm_rat_expr",
+                 "singular_points"),
+    "differentiation": ("compile_real", "deriv_numeric", "diff", "domain_sample", "eval_real",
+                        "is_diff_expr", "simplify"),
+    "parser": ("ParseError", "PredicateViolation", "parse"),
+    "printing": ("format_term", "to_infix", "to_json", "to_sexpr"),
+    "harness": ("GenConfig", "Report", "check_all"),
+    "cli": (),
+}
+_OWNER = {name: f"{__name__}.{module}" for module, names in _OWNERS.items() for name in names}
+
+__all__ = sorted(_OWNER) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is not None:
+        return getattr(sys.modules.get(module) or import_module(module), name)
+    if name in _OWNERS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_OWNERS})

@@ -14,8 +14,13 @@ exist (the word "undefined" goes to standard output), 4 when a
 contract check finds a counterexample, 5 at a resource limit: an
 integer in the input, the work or the output with more decimal digits
 than Python converts to or from text (sys.get_int_max_str_digits(),
-4300 by default), or domain --n above DOMAIN_MAX_POINTS (10^6); a
-one-line message names the limit on standard error.
+4300 by default), domain --n above DOMAIN_MAX_POINTS (10^6), Python's
+recursion limit or memory running out; a one-line message names the
+limit on standard error.
+
+Each subcommand imports the module of the language it runs when it
+runs, and only check imports the contract harness, so a process loads
+no algorithm it does not use.
 
 eval uses the strict term-tree semantics of rational expressions at a
 point.  That makes the classic pitfall reproducible: evaluating
@@ -27,21 +32,20 @@ the singular points.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from .factoring import decomp_to_term, factor_int, to_maple_list
-from .rational import eval_pointwise, norm_rat_expr, norm_rat_fun
-from .differentiation import diff, domain_sample
 from .parser import ParseError, parse
 from .printing import FORMATS, format_term
-from . import harness
 
 
 # The most grid points domain evaluates; past it the command exits 5
 # before it parses, lowers or evaluates anything.
 DOMAIN_MAX_POINTS = 10**6
+
+# The contract suites check runs, sorted: the keys of harness.CHECKS,
+# which only check imports.
+SUITES = ("diff", "disquote", "factor", "norm-expr", "norm-fun")
 
 
 class _DigitLimit(Exception):
@@ -152,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "which",
-        choices=sorted(harness.CHECKS) + ["all"],
+        choices=[*SUITES, "all"],
         help="which contract suite to run",
     )
     p.add_argument("--seed", type=_int, default=0, help="generator seed (default 0)")
@@ -165,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    from .factoring import decomp_to_term, factor_int, to_maple_list
+
     pf = factor_int(args.n)
     if args.maple:
         if pf.sign == 0:
@@ -177,24 +183,32 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_norm_expr(args: argparse.Namespace) -> int:
+    from .rational import norm_rat_expr
+
     t = parse(args.expr, "ratexpr")
     print(format_term(norm_rat_expr(t), args.format))
     return 0
 
 
 def _cmd_norm_fun(args: argparse.Namespace) -> int:
+    from .rational import norm_rat_fun
+
     t = parse(args.fun, "ratfun")
     print(format_term(norm_rat_fun(t), args.format))
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from .differentiation import diff
+
     t = parse(args.expr, "diffexpr")
     print(format_term(diff(t), args.format))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .rational import eval_pointwise
+
     t = parse(args.expr, "ratexpr")
     v = eval_pointwise(t, args.at)
     if v is None:
@@ -206,12 +220,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_domain(args: argparse.Namespace) -> int:
     if args.n > DOMAIN_MAX_POINTS:
-        print(
-            f"resource limit: more than {DOMAIN_MAX_POINTS} grid points (--n), "
-            "the limit for domain",
-            file=sys.stderr,
-        )
-        return 5
+        return _resource_exit(f"more than {DOMAIN_MAX_POINTS} grid points (--n), the limit for domain")
+    from .differentiation import domain_sample
+
     t = parse(args.expr, "diffexpr")
     try:
         report = domain_sample(t, args.lo, args.hi, args.n)
@@ -219,6 +230,8 @@ def _cmd_domain(args: argparse.Namespace) -> int:
         print(f"domain: {e}", file=sys.stderr)
         return 2
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 [{"point": e.point, "defined": e.defined} for e in report.entries]
@@ -234,26 +247,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.cases < 1 or args.seed < 0:
         print("check: need cases >= 1 and a nonnegative seed", file=sys.stderr)
         return 2
+    from . import harness
+
     cfg = harness.GenConfig(seed=args.seed, cases=args.cases)
     if args.which == "all":
         reports = harness.check_all(cfg)
     else:
         reports = [harness.CHECKS[args.which](cfg)]
     if args.format == "json":
+        import json
+
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         print("\n\n".join(r.render() for r in reports))
     return 0 if all(r.ok for r in reports) else 4
 
 
-def _digit_limit_exit() -> int:
-    limit = sys.get_int_max_str_digits()
-    print(
-        f"resource limit: an integer has more than {limit} decimal digits, "
-        "the limit for converting integers to or from text",
-        file=sys.stderr,
-    )
+def _resource_exit(limit: str) -> int:
+    """Exit code 5, after one line on standard error that names the limit."""
+    print(f"resource limit: {limit}", file=sys.stderr)
     return 5
+
+
+def _digit_limit_exit() -> int:
+    return _resource_exit(
+        f"an integer has more than {sys.get_int_max_str_digits()} decimal digits, "
+        "the limit for converting integers to or from text"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         if not _over_digit_limit(e):
             raise
         return _digit_limit_exit()
+    except RecursionError:
+        return _resource_exit(f"deeper recursion than Python's limit of {sys.getrecursionlimit()} frames")
+    except MemoryError:
+        return _resource_exit("out of memory")
 
 
 def entry() -> None:

@@ -29,82 +29,55 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, mul, neg, sub
 from typing import Optional
 
 from .terms import (
+    ADD_R,
+    COS_R,
+    EXP_R,
+    INV_R,
+    LN_R,
+    MUL_R,
+    NEG_R,
+    POW_R,
     REAL,
+    SIN_R,
+    SUB_R,
+    TAN_R,
+    X_R,
     App,
-    Arrow,
     Const,
     NotInLanguage,
     Steps,
     SynTerm,
-    Var,
     fold,
+    literal_value,
     match_unary,
     op_table,
-    register_constant,
+    r_lit,
 )
 
-_R1 = Arrow(REAL, REAL)
-_R3 = Arrow(REAL, Arrow(REAL, REAL))
 
-ADD_R: Const = register_constant("+", _R3)
-MUL_R: Const = register_constant("*", _R3)
-SUB_R: Const = register_constant("-", _R3)
-POW_R: Const = register_constant("^", _R3)
-NEG_R: Const = register_constant("-", _R1)
-INV_R: Const = register_constant("inv", _R1)
-EXP_R: Const = register_constant("exp", _R1)
-LN_R: Const = register_constant("ln", _R1)
-SIN_R: Const = register_constant("sin", _R1)
-COS_R: Const = register_constant("cos", _R1)
-TAN_R: Const = register_constant("tan", _R1)
-
-# the concrete names of the unary operators, read by the parser and,
-# inverted, by the printer
-FUNCTIONS = {"sin": SIN_R, "cos": COS_R, "tan": TAN_R, "exp": EXP_R, "ln": LN_R, "inv": INV_R}
-
-X_R = Var("x", REAL)
-
-
-def r_lit(c: Fraction | int) -> SynTerm:
-    """Rational constants of the real language are Const nodes whose
-    symbol is the exact value's text."""
-    return Const(str(Fraction(c)), REAL)
-
-
-def lit_value(t: SynTerm) -> Optional[Fraction]:
-    """Exact value of a rational constant of the real language, else None."""
-    if isinstance(t, Const) and t.ty == REAL:
-        return _read_literal(t.symbol)
-    return None
-
-
-@lru_cache(maxsize=4096)
-def _read_literal(symbol: str) -> Optional[Fraction]:
-    """The value of a literal's text, or None where Fraction cannot read
-    it (a ValueError, which includes text past the int/str digit limit).
-    Cached by text, so the rewrite and the lowering parse each literal
-    once; ROADMAP item 4 (the value read when the node is built)
-    replaces it."""
-    try:
-        return Fraction(symbol)
-    except ValueError:
-        return None
+def _leaf_value(t: SynTerm) -> Optional[Fraction]:
+    """The exact value of a leaf of the language: a literal's value, or
+    None for x.  Any other node raises NotInLanguage."""
+    c = literal_value(t) if type(t) is Const else None
+    if c is None and t != X_R:
+        raise NotInLanguage("not in the differentiable language")
+    return c
 
 
 def _signed_lit(t: SynTerm) -> Optional[Fraction]:
-    """Like lit_value, but reads through one negation, so the folding
-    rules treat -(2) and a bare -2 constant alike."""
-    v = lit_value(t)
+    """The value of a literal of a member of the language, read through
+    one negation, so the folding rules treat -(2) and a bare -2 constant
+    alike."""
+    v = literal_value(t)
     if v is not None:
         return v
     arg = match_unary(t, NEG_R)
     if arg is not None:
-        v = lit_value(arg)
+        v = literal_value(arg)
         if v is not None:
             return -v
     return None
@@ -172,11 +145,7 @@ def r_tan(a: SynTerm) -> SynTerm:
 def _member_leaf(t: SynTerm) -> bool:
     """A member's value in the membership fold: whether it is a bare
     literal, which is what the exponent of a power must be."""
-    if t == X_R:
-        return False
-    if lit_value(t) is not None:
-        return True
-    raise NotInLanguage("not in the differentiable language")
+    return _leaf_value(t) is not None
 
 
 def _member_pow(base: bool, exponent: bool) -> bool:
@@ -210,46 +179,57 @@ def is_diff_expr(t: SynTerm) -> bool:
 def diff(t: SynTerm) -> Optional[SynTerm]:
     """Derivative term, simplified; None outside the language.
 
-    One bottom-up fold gives each subterm u the triple (simplify(u),
-    simplify(u'), w'), u' built by the simplifier's own rules from the
-    operands' triples; w' is set only when u is exp(w), for the rule
-    d ln(exp(w)) = w' (exp(w) is nonzero wherever w is defined).
+    One bottom-up fold gives each subterm u the quadruple (simplify(u),
+    simplify(u'), w', c), u' built by the simplifier's own rules from
+    the operands' quadruples; w' is set only when u is exp(w), for the
+    rule d ln(exp(w)) = w' (exp(w) is nonzero wherever w is defined),
+    and c only when u is a literal, whose value it is.  The same walk
+    decides membership: the leaf takes only x and literals, and a power
+    only a literal exponent.
     """
-    if not is_diff_expr(t):
+    try:
+        return fold(t, _d_leaf, _D_UNARY, _D_BINARY)[1]
+    except NotInLanguage:
         return None
-    return fold(t, lambda u: (u, r_lit(1 if u == X_R else 0), None), _D_UNARY, _D_BINARY)[1]
+
+
+def _d_leaf(u: SynTerm) -> tuple:
+    c = _leaf_value(u)
+    return u, r_lit(1 if c is None else 0), None, c
 
 
 def _linear(simp):
     """The fold step for + or -, which commute with d/dx."""
-    return lambda a, b: (simp(a[0], b[0]), simp(a[1], b[1]), None)
+    return lambda a, b: (simp(a[0], b[0]), simp(a[1], b[1]), None, None)
 
 
 def _d_mul(a: tuple, b: tuple) -> tuple:
-    (u, du, _), (v, dv, _) = a, b
-    return _simp_mul(u, v), _simp_add(_simp_mul(du, v), _simp_mul(u, dv)), None
+    (u, du, _, _), (v, dv, _, _) = a, b
+    return _simp_mul(u, v), _simp_add(_simp_mul(du, v), _simp_mul(u, dv)), None, None
 
 
 def _d_pow(a: tuple, e: tuple) -> tuple:
-    u, du, _ = a
-    c = lit_value(e[0])
+    c = e[3]
+    if c is None:
+        raise NotInLanguage("a power needs a rational-literal exponent")
+    u, du, _, _ = a
     # c * u^(c-1) * u', which is 0 when c = 0 and u' itself when c = 1
     d = du if c == 1 else _simp_mul(_simp_mul(_emit_lit(c), _simp_pow(u, r_lit(c - 1))), du)
-    return _simp_pow(u, e[0]), d, None
+    return _simp_pow(u, e[0]), d, None, None
 
 
 def _d_neg(a: tuple) -> tuple:
-    return _simp_neg(a[0]), _simp_neg(a[1]), None
+    return _simp_neg(a[0]), _simp_neg(a[1]), None, None
 
 
 def _d_exp(a: tuple) -> tuple:
     e = r_exp(a[0])
-    return e, _simp_mul(a[1], e), a[1]
+    return e, _simp_mul(a[1], e), a[1], None
 
 
 def _d_ln(a: tuple) -> tuple:
-    u, du, dw = a
-    return r_ln(u), dw if dw is not None else _simp_mul(du, _simp_inv(u)), None
+    u, du, dw, _ = a
+    return r_ln(u), dw if dw is not None else _simp_mul(du, _simp_inv(u)), None, None
 
 
 def _chain(simp, outer, negate: bool = False):
@@ -257,9 +237,9 @@ def _chain(simp, outer, negate: bool = False):
     derivative u' * outer(u), negated when ``negate``."""
 
     def step(a: tuple) -> tuple:
-        u, du, _ = a
+        u, du, _, _ = a
         d = _simp_mul(du, outer(u))
-        return simp(u), _simp_neg(d) if negate else d, None
+        return simp(u), _simp_neg(d) if negate else d, None, None
 
     return step
 
@@ -272,10 +252,19 @@ def simplify(t: SynTerm) -> SynTerm:
     enlarge the domain, never shrink it).  Output keeps negative
     constants as negations of positive literals, the only form the
     concrete syntax has for them.
+
+    The fold gives each subterm the pair (its simplified form, its
+    value if it is a literal, else None), and decides membership in the
+    same walk, as ``diff``'s does.
     """
-    if not is_diff_expr(t):
-        raise ValueError("not in the differentiable language")
-    return fold(t, lambda u: u, _SIMP_UNARY, _SIMP_BINARY)
+    try:
+        return fold(t, _simp_leaf, _SIMP_UNARY, _SIMP_BINARY)[0]
+    except NotInLanguage:
+        raise ValueError("not in the differentiable language") from None
+
+
+def _simp_leaf(u: SynTerm) -> tuple:
+    return u, _leaf_value(u)
 
 
 def _simp_neg(a: SynTerm) -> SynTerm:
@@ -333,7 +322,7 @@ def _simp_mul(a: SynTerm, b: SynTerm) -> SynTerm:
 
 
 def _simp_pow(base: SynTerm, exp_term: SynTerm) -> SynTerm:
-    c = lit_value(exp_term)
+    c = literal_value(exp_term)
     assert c is not None
     if c == 1:
         return base
@@ -343,9 +332,22 @@ def _simp_pow(base: SynTerm, exp_term: SynTerm) -> SynTerm:
     return r_pow(base, exp_term)
 
 
-_SIMP_UNARY = op_table({NEG_R: _simp_neg, INV_R: _simp_inv, EXP_R: r_exp, LN_R: r_ln,
-                        SIN_R: r_sin, COS_R: r_cos, TAN_R: r_tan})
-_SIMP_BINARY = op_table({ADD_R: _simp_add, SUB_R: _simp_sub, MUL_R: _simp_mul, POW_R: _simp_pow})
+def _on_pairs(simp):
+    """simplify's fold step for a rule on simplified operands."""
+    return lambda *operands: (simp(*[u for u, _ in operands]), None)
+
+
+def _simp_power(a: tuple, e: tuple) -> tuple:
+    if e[1] is None:
+        raise NotInLanguage("a power needs a rational-literal exponent")
+    return _simp_pow(a[0], e[0]), None
+
+
+_SIMP_UNARY = op_table({op: _on_pairs(simp) for op, simp in {
+    NEG_R: _simp_neg, INV_R: _simp_inv, EXP_R: r_exp, LN_R: r_ln, SIN_R: r_sin, COS_R: r_cos, TAN_R: r_tan,
+}.items()})
+_SIMP_BINARY = op_table({ADD_R: _on_pairs(_simp_add), SUB_R: _on_pairs(_simp_sub), MUL_R: _on_pairs(_simp_mul),
+                         POW_R: _simp_power})
 _D_UNARY = op_table({
     NEG_R: _d_neg,
     INV_R: _chain(_simp_inv, lambda u: _simp_pow(u, r_lit(-2)), negate=True),
@@ -542,7 +544,7 @@ def compile_real(t: SynTerm) -> Optional[RealProgram]:
             made = None
             k = literals.get(node.symbol)
             if k is None:
-                c = lit_value(node)
+                c = literal_value(node)
                 if c is None:
                     raise NotInLanguage("not in the differentiable language")
                 made = node.symbol

@@ -30,10 +30,12 @@ import operator
 from dataclasses import dataclass
 
 from .terms import (
+    ADD_I,
     INT,
+    MUL_I,
+    NEG_I,
+    POW_I,
     App,
-    Arrow,
-    Const,
     IntLit,
     IntV,
     SynTerm,
@@ -41,18 +43,11 @@ from .terms import (
     fold,
     match_binary,
     op_table,
-    register_constant,
     register_evaluator,
 )
 
 _TRIAL_LIMIT = 1 << 16
 _BLOCK = 64  # table primes per gcd block in the trial walk
-
-# integer operator constants (registering makes them well-typed)
-ADD_I: Const = register_constant("+", Arrow(INT, Arrow(INT, INT)))
-MUL_I: Const = register_constant("*", Arrow(INT, Arrow(INT, INT)))
-POW_I: Const = register_constant("^", Arrow(INT, Arrow(INT, INT)))
-NEG_I: Const = register_constant("-", Arrow(INT, INT))
 
 
 def i_add(a: SynTerm, b: SynTerm) -> SynTerm:

@@ -25,9 +25,11 @@ apart:
 every inverse node has a concrete spelling; exponents may carry a
 minus sign, and in diffexpr a parenthesized fraction: x^-2, x^(1/2).
 
-Each language is one table of tree builders, and the grammar is read
-by one operator-precedence loop on two explicit stacks (Dijkstra's
-shunting-yard), so nesting depth is bounded by memory only.
+Each language is one table of tree builders, made from the
+constructors of the module that owns the language the first time the
+language is parsed, so parsing one language loads no other.  The
+grammar is read by one operator-precedence loop on two explicit stacks
+(Dijkstra's shunting-yard), so nesting depth is bounded by memory only.
 
 Syntax problems raise ParseError with line and column.  Text that
 parses but steps outside the requested language (sin in a ratexpr,
@@ -38,12 +40,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Optional
 
-from .terms import App, IntLit, Lambda, RAT, RatLit, SynTerm
-from . import factoring as fx
-from . import rational as rq
-from . import differentiation as dr
+from .terms import FUNCTIONS, RAT, App, IntLit, Lambda, SynTerm, literal_value
 
 LANGS = ("int", "ratexpr", "ratfun", "diffexpr")
 
@@ -101,15 +101,6 @@ def _error(message: str, tok: _Token) -> ParseError:
     return ParseError(message, tok.line, tok.col)
 
 
-def literal_value(t: SynTerm) -> Optional[Fraction]:
-    """The value of a literal of any of the languages, else None."""
-    if isinstance(t, IntLit):
-        return Fraction(t.value)
-    if isinstance(t, RatLit):
-        return t.value
-    return dr.lit_value(t)
-
-
 # ---------------------------------------------------------------------------
 # the languages' tree builders
 
@@ -141,21 +132,11 @@ def _quotient(lit: Callable, div: Callable) -> Callable:
     return make
 
 
-_RATEXPR = _Syntax(
-    binary={"+": rq.q_add, "-": rq.q_sub, "*": rq.q_mul, "/": _quotient(rq.q_lit, rq.q_div)},
-    neg=rq.q_neg,
-    power=lambda a, n: rq.q_pow(a, int(n)),
-    integer=rq.q_lit,
-    fraction=rq.q_lit,
-    x=lambda: rq.X_Q,
-    calls=dict.fromkeys(dr.FUNCTIONS, "{} is not part of the rational-expression language")
-    | {"inv": rq.q_inv},
-    other_call=None,
-    fraction_exponents=False,
-)
+@cache
+def _int_syntax() -> _Syntax:
+    from . import factoring as fx
 
-_SYNTAX = {
-    "int": _Syntax(
+    return _Syntax(
         binary={
             "+": fx.i_add,
             "-": lambda a, b: fx.i_add(a, fx.i_neg(b)),
@@ -170,21 +151,46 @@ _SYNTAX = {
         calls={},
         other_call="{} is not part of the integer language",
         fraction_exponents=False,
-    ),
-    "ratexpr": _RATEXPR,
-    "ratfun": _RATEXPR,
-    "diffexpr": _Syntax(
+    )
+
+
+@cache
+def _rat_syntax() -> _Syntax:
+    from . import rational as rq
+
+    return _Syntax(
+        binary={"+": rq.q_add, "-": rq.q_sub, "*": rq.q_mul, "/": _quotient(rq.q_lit, rq.q_div)},
+        neg=rq.q_neg,
+        power=lambda a, n: rq.q_pow(a, int(n)),
+        integer=rq.q_lit,
+        fraction=rq.q_lit,
+        x=lambda: rq.X_Q,
+        calls=dict.fromkeys(FUNCTIONS, "{} is not part of the rational-expression language")
+        | {"inv": rq.q_inv},
+        other_call=None,
+        fraction_exponents=False,
+    )
+
+
+@cache
+def _real_syntax() -> _Syntax:
+    from . import differentiation as dr
+
+    return _Syntax(
         binary={"+": dr.r_add, "-": dr.r_sub, "*": dr.r_mul, "/": _quotient(dr.r_lit, dr.r_div)},
         neg=dr.r_neg,
         power=lambda a, c: dr.r_pow(a, dr.r_lit(c)),
         integer=dr.r_lit,
         fraction=dr.r_lit,
         x=lambda: dr.X_R,
-        calls={name: (lambda u, op=op: App(op, u)) for name, op in dr.FUNCTIONS.items()},
+        calls={name: (lambda u, op=op: App(op, u)) for name, op in FUNCTIONS.items()},
         other_call=None,
         fraction_exponents=True,
-    ),
-}
+    )
+
+
+# Each language's table, made on first use.
+_SYNTAX = {"int": _int_syntax, "ratexpr": _rat_syntax, "ratfun": _rat_syntax, "diffexpr": _real_syntax}
 
 
 def _make(make, tok: _Token, *args) -> SynTerm:
@@ -313,7 +319,7 @@ def parse(src: str, lang: str) -> SynTerm:
     if lang not in LANGS:
         raise ValueError(f"unknown language {lang!r}")
     toks = _tokenize(src)
-    syn = _SYNTAX[lang]
+    syn = _SYNTAX[lang]()
     if lang != "ratfun":
         return _expression(toks, 0, syn)
     if toks[0].text != "fun":

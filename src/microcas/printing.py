@@ -42,12 +42,26 @@ by identity first, then with ``terms.same_term``.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Optional
 
 from .terms import (
+    ADD_I,
+    ADD_Q,
+    ADD_R,
+    FUNCTIONS,
+    INV_Q,
+    INV_R,
+    MUL_I,
+    MUL_Q,
+    MUL_R,
+    NEG_I,
+    NEG_Q,
+    NEG_R,
+    POW_I,
+    POW_R,
     RAT,
     REAL,
+    SUB_R,
     App,
     Const,
     IntLit,
@@ -56,6 +70,7 @@ from .terms import (
     RatLit,
     SynTerm,
     Var,
+    literal_value,
     match_binary,
     match_unary,
     op_entry,
@@ -63,10 +78,6 @@ from .terms import (
     same_term,
     type_name,
 )
-from .parser import literal_value
-from . import factoring as fx
-from . import rational as rq
-from . import differentiation as dr
 
 _ATOM = 5
 _POWER = 4
@@ -188,7 +199,7 @@ def _product(inv: Optional[Const]) -> Callable[[SynTerm, SynTerm, dict], Layout]
     return layout
 
 
-_rat_quotient = _product(rq.INV_Q)
+_rat_quotient = _product(INV_Q)
 
 
 def _rat_product(a: SynTerm, b: SynTerm, chains: dict) -> Layout:
@@ -199,7 +210,7 @@ def _rat_product(a: SynTerm, b: SynTerm, chains: dict) -> Layout:
 
 
 def _rat_inverse(u: SynTerm, chains: dict) -> Layout:
-    parts = match_binary(u, rq.MUL_Q)
+    parts = match_binary(u, MUL_Q)
     n = _as_power_chain(*parts, chains) if parts is not None else None
     if n is None:
         return _POWER, [(u, _ATOM), "^-1"]
@@ -232,7 +243,7 @@ def _as_power_chain(base: SynTerm, rest: SynTerm, chains: dict) -> Optional[int]
     """
     links = []
     while True:
-        inner = match_binary(rest, rq.MUL_Q)
+        inner = match_binary(rest, MUL_Q)
         if inner is None:
             n = int(_same(rest, base))
             break
@@ -259,19 +270,19 @@ def _same(a: SynTerm, b: SynTerm) -> bool:
 
 
 _INFIX_BINARY = op_table({
-    fx.ADD_I: _sum(fx.NEG_I),
-    rq.ADD_Q: _sum(rq.NEG_Q),
-    dr.ADD_R: _sum(None),
-    dr.SUB_R: lambda a, b, chains: (_EXPR, [(a, _EXPR), " - ", (b, _TERM)]),
-    fx.MUL_I: _product(None),
-    rq.MUL_Q: _rat_product,
-    dr.MUL_R: _product(dr.INV_R),
-    fx.POW_I: _power,
-    dr.POW_R: _power,
+    ADD_I: _sum(NEG_I),
+    ADD_Q: _sum(NEG_Q),
+    ADD_R: _sum(None),
+    SUB_R: lambda a, b, chains: (_EXPR, [(a, _EXPR), " - ", (b, _TERM)]),
+    MUL_I: _product(None),
+    MUL_Q: _rat_product,
+    MUL_R: _product(INV_R),
+    POW_I: _power,
+    POW_R: _power,
 })
 _INFIX_UNARY = op_table(
-    {fx.NEG_I: _negation, rq.NEG_Q: _negation, dr.NEG_R: _negation, rq.INV_Q: _rat_inverse}
-    | {op: _call(name) for name, op in dr.FUNCTIONS.items()}
+    {NEG_I: _negation, NEG_Q: _negation, NEG_R: _negation, INV_Q: _rat_inverse}
+    | {op: _call(name) for name, op in FUNCTIONS.items()}
 )
 
 
@@ -307,11 +318,13 @@ def _sexpr(t: SynTerm, memo: dict) -> Layout:
 def to_json(t: SynTerm) -> str:
     """One-line JSON with node kinds and literal values as strings,
     keys sorted."""
-    return _write(_json, [(t, 0)])
+    from json import dumps
+
+    return _write(lambda node, memo: _json(node, dumps), [(t, 0)])
 
 
-def _json(t: SynTerm, memo: dict) -> Layout:
-    s = json.dumps
+def _json(t: SynTerm, s: Callable[[str], str]) -> Layout:
+    """t's JSON layout; ``s`` quotes a string as JSON."""
     if isinstance(t, App):
         return 0, ['{"arg": ', (t.arg, 0), ', "fun": ', (t.fun, 0), ', "node": "app"}']
     if isinstance(t, IntLit):

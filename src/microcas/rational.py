@@ -45,11 +45,15 @@ from typing import Callable, Optional
 
 from .polynomials import ONE, Poly, X, ZERO, linear_part, poly_gcd, rational_roots
 from .terms import (
+    ADD_Q,
     FRAC,
+    INV_Q,
+    MUL_Q,
+    NEG_Q,
     RAT,
+    X_Q,
     App,
     Arrow,
-    Const,
     FnQQ,
     FracV,
     Lambda,
@@ -59,31 +63,13 @@ from .terms import (
     Steps,
     SynTerm,
     Value,
-    Var,
     fold,
     match_binary,
     match_unary,
     op_table,
-    register_constant,
     register_evaluator,
     same_term,
 )
-
-# rational field operators
-ADD_Q: Const = register_constant("+", Arrow(RAT, Arrow(RAT, RAT)))
-MUL_Q: Const = register_constant("*", Arrow(RAT, Arrow(RAT, RAT)))
-NEG_Q: Const = register_constant("-", Arrow(RAT, RAT))
-INV_Q: Const = register_constant("inv", Arrow(RAT, RAT))
-
-# operators of the field of fractions itself, registered so terms aimed
-# straight at that type check; the artifact never builds them
-register_constant("+", Arrow(FRAC, Arrow(FRAC, FRAC)))
-register_constant("*", Arrow(FRAC, Arrow(FRAC, FRAC)))
-register_constant("-", Arrow(FRAC, FRAC))
-register_constant("inv", Arrow(FRAC, FRAC))
-register_constant("X", FRAC)
-
-X_Q = Var("x", RAT)
 
 
 def q_lit(c: Fraction | int) -> SynTerm:

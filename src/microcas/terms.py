@@ -14,21 +14,26 @@ does not have that type or the value does not exist.  Evaluation is a
 host-level operation; there is no evaluation node in the term language,
 so every term is trivially evaluation-free.
 
-Constant signatures and the evaluators for each type but SYNTAX are
-registered by the modules that own them (factoring registers the
-integer operators, rational the rationals and the field of fractions,
-differentiation the real operators); importing the package top-level
-wires everything up.  Membership tests, exact values and the lowerings
-to straight-line code (with ``Steps``) are computed bottom-up with
-``fold``, the one walk with the one strictness rule: an undefined
-operand makes its whole term undefined.
+The one signature of the term languages is declared here: every typed
+operator constant of the integer, rational and real languages, the
+variable x of each expression language, and the literals of the real
+language with ``literal_value``, the one reader of a literal of any
+language.  The evaluator of each type but SYNTAX is registered by the
+module that owns it (factoring the integers; rational the rationals,
+the field of fractions and the rational functions), and ``eval_as``
+loads that module the first time a term is read at the type, so
+nothing needs importing beforehand.  Membership tests, exact values
+and the lowerings to straight-line code (with ``Steps``) are computed
+bottom-up with ``fold``, the one walk with the one strictness rule: an
+undefined operand makes its whole term undefined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from importlib import import_module
 from sys import getrefcount
 from typing import Callable, Optional, Union
 
@@ -214,6 +219,86 @@ def register_evaluator(ty: SemType, fn: Callable[[SynTerm], Optional[Value]]) ->
     undefined.
     """
     _EVALUATORS[ty] = fn
+
+
+# ---------------------------------------------------------------------------
+# the signature: the operator constants of the three languages, their
+# variables, and the real language's literals
+
+# integer operators
+ADD_I: Const = register_constant("+", Arrow(INT, Arrow(INT, INT)))
+MUL_I: Const = register_constant("*", Arrow(INT, Arrow(INT, INT)))
+POW_I: Const = register_constant("^", Arrow(INT, Arrow(INT, INT)))
+NEG_I: Const = register_constant("-", Arrow(INT, INT))
+
+# rational field operators
+ADD_Q: Const = register_constant("+", Arrow(RAT, Arrow(RAT, RAT)))
+MUL_Q: Const = register_constant("*", Arrow(RAT, Arrow(RAT, RAT)))
+NEG_Q: Const = register_constant("-", Arrow(RAT, RAT))
+INV_Q: Const = register_constant("inv", Arrow(RAT, RAT))
+
+# operators of the field of fractions itself, registered so terms aimed
+# straight at that type check; the artifact never builds them
+register_constant("+", Arrow(FRAC, Arrow(FRAC, FRAC)))
+register_constant("*", Arrow(FRAC, Arrow(FRAC, FRAC)))
+register_constant("-", Arrow(FRAC, FRAC))
+register_constant("inv", Arrow(FRAC, FRAC))
+register_constant("X", FRAC)
+
+# real operators
+_R1 = Arrow(REAL, REAL)
+_R3 = Arrow(REAL, Arrow(REAL, REAL))
+
+ADD_R: Const = register_constant("+", _R3)
+MUL_R: Const = register_constant("*", _R3)
+SUB_R: Const = register_constant("-", _R3)
+POW_R: Const = register_constant("^", _R3)
+NEG_R: Const = register_constant("-", _R1)
+INV_R: Const = register_constant("inv", _R1)
+EXP_R: Const = register_constant("exp", _R1)
+LN_R: Const = register_constant("ln", _R1)
+SIN_R: Const = register_constant("sin", _R1)
+COS_R: Const = register_constant("cos", _R1)
+TAN_R: Const = register_constant("tan", _R1)
+
+# the concrete names of the real unary operators, read by the parser
+# and, inverted, by the printer
+FUNCTIONS = {"sin": SIN_R, "cos": COS_R, "tan": TAN_R, "exp": EXP_R, "ln": LN_R, "inv": INV_R}
+
+X_Q = Var("x", RAT)
+X_R = Var("x", REAL)
+
+
+def r_lit(c: Fraction | int) -> SynTerm:
+    """Rational constants of the real language are Const nodes whose
+    symbol is the exact value's text."""
+    return Const(str(Fraction(c)), REAL)
+
+
+def literal_value(t: SynTerm) -> Optional[Fraction]:
+    """The exact value of a literal of any of the languages (an integer
+    literal, a rational literal, or a rational constant of the real
+    language), else None."""
+    if type(t) is Const:
+        return _read_literal(t.symbol) if t.ty == REAL else None
+    if type(t) is IntLit:
+        return Fraction(t.value)
+    if type(t) is RatLit:
+        return t.value
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _read_literal(symbol: str) -> Optional[Fraction]:
+    """The value of a real literal's text, or None where Fraction cannot
+    read it (a ValueError, which includes text past the int/str digit
+    limit).  Cached by text, so the rewrite, the lowering and the printer
+    parse each literal once; ROADMAP item 4 (the value read when the
+    node is built) replaces it."""
+    try:
+        return Fraction(symbol)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +533,12 @@ class Steps:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# The module that registers each type's evaluator, loaded by eval_as the
+# first time a term is read at that type.
+_EVALUATOR_MODULES = {
+    INT: ".factoring", RAT: ".rational", FRAC: ".rational", Arrow(RAT, RAT): ".rational",
+}
+
 
 def eval_as(t: SynTerm, ty: SemType) -> Optional[Value]:
     """Value of the term quoted inside ``t``, read at type ``ty``.
@@ -463,6 +554,9 @@ def eval_as(t: SynTerm, ty: SemType) -> Optional[Value]:
         raise ValueError("eval_as needs a quotation")
     b = t.term
     fn = _EVALUATORS.get(ty)
+    if fn is None and ty in _EVALUATOR_MODULES:
+        import_module(_EVALUATOR_MODULES[ty], __package__)  # it registers the evaluator
+        fn = _EVALUATORS[ty]
     if fn is not None:
         return fn(b)
     if ty == SYNTAX and isinstance(b, Quote):

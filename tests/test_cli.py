@@ -1,7 +1,7 @@
 """Command-line front end: subcommands, output formats, and the exit
 code contract (0 ok, 2 parse/usage error, 3 undefined result, 4 check
-counterexample, 5 an integer past the int/str digit limit or a
-domain grid past its cap).
+counterexample, 5 an integer past the int/str digit limit, a domain
+grid past its cap, Python's recursion limit or memory running out).
 """
 
 from __future__ import annotations
@@ -148,14 +148,14 @@ def test_digit_limit_exits_5(capsys, argv):
 def test_domain_grid_past_the_cap_exits_5_before_any_work(capsys, monkeypatch):
     """Above DOMAIN_MAX_POINTS the command stops before it parses,
     lowers or evaluates; at the cap it runs."""
-    from microcas import cli
+    from microcas import cli, differentiation
     from microcas.differentiation import DomainPoint, DomainReport
 
     def refuse(*args):
         raise AssertionError("domain did work past its grid cap")
 
     monkeypatch.setattr(cli, "parse", refuse)
-    monkeypatch.setattr(cli, "domain_sample", refuse)
+    monkeypatch.setattr(differentiation, "domain_sample", refuse)
     for n in (cli.DOMAIN_MAX_POINTS + 1, 10**30):
         code, out, err = run(capsys, "domain", "inv(x)", "--n", str(n))
         assert (code, out) == (5, "")
@@ -167,7 +167,7 @@ def test_domain_grid_past_the_cap_exits_5_before_any_work(capsys, monkeypatch):
         asked.append(n)
         return DomainReport((DomainPoint(0.0, True),))
 
-    monkeypatch.setattr(cli, "domain_sample", stub)
+    monkeypatch.setattr(differentiation, "domain_sample", stub)
     code, out, _ = run(capsys, "domain", "inv(x)", "--n", str(cli.DOMAIN_MAX_POINTS))
     assert (code, out, asked) == (0, "x = 0: defined\n", [cli.DOMAIN_MAX_POINTS])
 
@@ -267,6 +267,41 @@ def test_check_counterexample_exits_4(capsys, monkeypatch):
     assert code == 4
     assert "FAIL" in out
     assert "forced counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (RecursionError, f"deeper recursion than Python's limit of {sys.getrecursionlimit()} frames"),
+        (MemoryError, "out of memory"),
+    ],
+    ids=["recursion", "memory"],
+)
+def test_a_resource_error_of_a_subcommand_exits_5(capsys, monkeypatch, error, message):
+    from microcas import cli
+
+    def exhausted(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "_cmd_norm_expr", exhausted)
+    assert run(capsys, "norm-expr", "x") == (5, "", f"resource limit: {message}\n")
+
+
+def test_any_other_error_of_a_subcommand_keeps_its_traceback(capsys, monkeypatch):
+    from microcas import cli
+
+    def broken(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_diff", broken)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["diff", "x"])
+
+
+def test_check_offers_the_harness_suites():
+    from microcas import cli
+
+    assert cli.SUITES == tuple(sorted(harness.CHECKS))
 
 
 def test_parser_declares_all_subcommands():

@@ -41,7 +41,6 @@ from microcas.differentiation import (
     domain_sample,
     eval_real,
     is_diff_expr,
-    lit_value,
     r_add,
     r_cos,
     r_div,
@@ -61,7 +60,7 @@ from microcas.harness import GenConfig, draw_diff_expr, draw_non_member
 from microcas.parser import parse
 from microcas.polynomials import Poly
 from microcas.printing import to_infix
-from microcas.terms import RAT, App, Arrow, Const, IntLit, REAL, Var, match_binary, match_unary, same_term
+from microcas.terms import RAT, App, Arrow, Const, IntLit, REAL, Var, literal_value, match_binary, match_unary, same_term
 
 
 def dx(src: str):
@@ -79,7 +78,7 @@ def _as_poly(t) -> Optional[Poly]:
     powers.  Independent of the engine's own evaluators."""
     if t == X_R:
         return _X
-    c = lit_value(t)
+    c = literal_value(t)
     if c is not None:
         return Poly([c])
     for sym, comb in (
@@ -111,7 +110,7 @@ def _as_poly(t) -> Optional[Poly]:
         and t.fun.fun.symbol == "^"
     ):
         base = _as_poly(t.fun.arg)
-        e = lit_value(t.arg)
+        e = literal_value(t.arg)
         if base is None or e is None or e.denominator != 1 or e < 0:
             return None
         return base ** int(e)
@@ -533,6 +532,34 @@ def test_lowering_and_is_diff_expr_agree_on_membership():
             terms += [t, diff(t)]
     for t in terms:
         assert (compile_real(t) is not None) == is_diff_expr(t), to_infix(t)
+
+
+def test_diff_and_simplify_decide_membership_in_their_one_walk():
+    """diff and simplify read membership off their own fold, as
+    is_diff_expr does: a leaf other than x or a literal, or a power
+    whose exponent is not a bare literal (even one that simplifies to a
+    literal, or is shared with a member), puts the term outside."""
+    two = r_lit(2)
+    squared = r_pow(two, r_lit(1))
+    outside = [
+        r_pow(X_R, r_add(r_lit(1), r_lit(1))),
+        r_pow(X_R, squared),
+        r_mul(squared, r_pow(two, squared)),
+        r_pow(X_R, r_neg(two)),
+        r_add(r_pow(X_R, two), IntLit(1)),
+        r_add(X_R, Const("pi", REAL)),
+    ]
+    rng = random.Random(0)
+    outside += [draw_non_member(rng, "diffexpr") for _ in range(200)]
+    for t in outside:
+        assert not is_diff_expr(t), t
+        assert diff(t) is None, t
+        with pytest.raises(ValueError, match="not in the differentiable language"):
+            simplify(t)
+    rng = random.Random(1)
+    for _ in range(100):
+        t = draw_diff_expr(rng, GenConfig(seed=1))
+        assert diff(t) is not None and is_diff_expr(simplify(t)), to_infix(t)
 
 
 # -- the numeric oracle ----------------------------------------------------
