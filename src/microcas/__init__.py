@@ -10,12 +10,14 @@ random terms.
 
 Importing the package loads no submodule.  A public name, or a
 submodule, is loaded from the module that defines it when it is first
-reached (PEP 562), and read there again on every access, so
-``microcas.diff`` is always ``microcas.differentiation.diff``.  The
-signature of every language lives in ``terms``, so any term can be
-built, typed, parsed and printed without its algorithms; ``eval_as``
-loads the module that registers a type's evaluator the first time a
-term is read at that type.
+reached (PEP 562).  The package keeps a name it has looked up only
+while the value is that module's own definition: a replacement bound
+in the module at run time, such as a tracer's wrapper, is read through
+the module again on every access, so it is never kept here after it is
+taken out.  The signature of every language lives in ``terms``, so any
+term can be built, typed, parsed and printed without its algorithms;
+``eval_as`` loads the module that registers a type's evaluator the
+first time a term is read at that type.
 """
 
 import sys
@@ -47,7 +49,10 @@ __all__ = sorted(_OWNER) + ["__version__"]
 def __getattr__(name: str):
     module = _OWNER.get(name)
     if module is not None:
-        return getattr(sys.modules.get(module) or import_module(module), name)
+        value = getattr(sys.modules.get(module) or import_module(module), name)
+        if getattr(value, "__module__", None) == module:
+            globals()[name] = value
+        return value
     if name in _OWNERS:
         return import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

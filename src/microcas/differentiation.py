@@ -189,8 +189,18 @@ def diff(t: SynTerm) -> Optional[SynTerm]:
     """
     try:
         return fold(t, _d_leaf, _D_UNARY, _D_BINARY)[1]
-    except NotInLanguage:
-        return None
+    except ValueError as e:
+        if _outside(t, e):
+            return None
+        raise
+
+
+def _outside(t: SynTerm, e: ValueError) -> bool:
+    """Whether the error e of diff's or simplify's fold over t means t is
+    outside the language: NotInLanguage, or an error (such as the int/str
+    digit limit) met in a member subterm before the walk reached the
+    node outside."""
+    return isinstance(e, NotInLanguage) or not is_diff_expr(t)
 
 
 def _d_leaf(u: SynTerm) -> tuple:
@@ -259,8 +269,10 @@ def simplify(t: SynTerm) -> SynTerm:
     """
     try:
         return fold(t, _simp_leaf, _SIMP_UNARY, _SIMP_BINARY)[0]
-    except NotInLanguage:
-        raise ValueError("not in the differentiable language") from None
+    except ValueError as e:
+        if _outside(t, e):
+            raise ValueError("not in the differentiable language") from None
+        raise
 
 
 def _simp_leaf(u: SynTerm) -> tuple:

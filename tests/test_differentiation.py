@@ -548,6 +548,7 @@ def test_diff_and_simplify_decide_membership_in_their_one_walk():
         r_pow(X_R, r_neg(two)),
         r_add(r_pow(X_R, two), IntLit(1)),
         r_add(X_R, Const("pi", REAL)),
+        r_add(r_pow(two, r_lit(20000)), IntLit(1)),  # the member part is past the digit limit
     ]
     rng = random.Random(0)
     outside += [draw_non_member(rng, "diffexpr") for _ in range(200)]

@@ -145,20 +145,23 @@ out.update(after=len(terms._CONSTANTS))
 def test_the_tracer_leaves_the_package_as_it_found_it():
     """perfbench's tracer swaps functions by name in module dicts.  A
     name that the package first hands out while the tracer is installed
-    must not keep the wrapper after it is taken out."""
+    must not keep the wrapper after it is taken out, and a name it kept
+    before must be seen wrapped while the tracer is in."""
     doc = _fresh(f"""
 import importlib.util, microcas
 spec = importlib.util.spec_from_file_location('spans', {str(ROOT / 'perfbench' / 'spans.py')!r})
 spans = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(spans)
+microcas.parse('x', 'diffexpr')
 tracer = spans.Tracer()
 tracer.install(microcas)
 microcas.diff(microcas.parse('sin(x) * x', 'diffexpr'))
-traced = tracer.total('differentiation.diff')
+traced = [tracer.total('differentiation.diff'), tracer.total('parser.parse')]
 tracer.uninstall()
 stale = [n for n in microcas.__all__[:-1]
          if getattr(microcas, n) is not getattr(sys.modules[microcas._OWNER[n]], n)
          or hasattr(getattr(microcas, n), '__wrapped__')]
-out.update(traced=traced, same=microcas.diff is microcas.differentiation.diff, stale=stale)
+out.update(traced=traced, same=microcas.diff is microcas.differentiation.diff, stale=stale,
+           kept=sorted(n for n in ('parse', 'diff') if n in vars(microcas)))
 """)
-    assert doc == {"traced": 1, "same": True, "stale": []}
+    assert doc == {"traced": [1, 1], "same": True, "stale": [], "kept": ["diff", "parse"]}
