@@ -10,14 +10,15 @@ random terms.
 
 Importing the package loads no submodule.  A public name, or a
 submodule, is loaded from the module that defines it when it is first
-reached (PEP 562).  The package keeps a name it has looked up only
-while the value is that module's own definition: a replacement bound
-in the module at run time, such as a tracer's wrapper, is read through
-the module again on every access, so it is never kept here after it is
-taken out.  The signature of every language lives in ``terms``, so any
-term can be built, typed, parsed and printed without its algorithms;
-``eval_as`` loads the module that registers a type's evaluator the
-first time a term is read at that type.
+reached (PEP 562).  The package keeps a name it has looked up when
+the value is that module's own definition (its ``__module__`` names
+the module).  A replacement bound in the module at run time, such as a
+tracer's wrapper, is not kept but read through the module on every
+access, so it does not outlive its removal.  The signature of every language lives in ``terms``, so any
+term can be built, typed and printed without its algorithms; ``parse``
+loads a language's own module the first time it reads that language,
+and ``eval_as`` the module that registers a type's evaluator the first
+time a term is read at that type.
 """
 
 import sys
