@@ -27,7 +27,6 @@ the derivative's once over the points where the estimate exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
 from typing import Optional
@@ -48,7 +47,9 @@ from .terms import (
     X_R,
     App,
     Const,
+    MutableRecord,
     NotInLanguage,
+    Record,
     Steps,
     SynTerm,
     fold,
@@ -376,11 +377,13 @@ _D_BINARY = op_table({ADD_R: _linear(_simp_add), SUB_R: _linear(_simp_sub), MUL_
 # pointwise real evaluation
 
 
-@dataclass(frozen=True)
-class RealResult:
+class RealResult(Record):
     """A real value or nothing; defined values are always finite."""
 
-    value: Optional[float] = None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[float] = None) -> None:
+        object.__setattr__(self, "value", value)
 
     @property
     def is_defined(self) -> bool:
@@ -401,8 +404,7 @@ _STEP_UNARY = op_table({
 })
 
 
-@dataclass(frozen=True)
-class RealProgram:
+class RealProgram(Record):
     """A term of the real language lowered to straight-line code.
 
     Register 0 holds x and the next ``len(init) - 1`` registers the
@@ -423,9 +425,12 @@ class RealProgram:
     exactly when no step on the way is undefined or non-finite.
     """
 
-    init: tuple[float, ...]
-    steps: tuple[tuple, ...]
-    uses_x: bool
+    __slots__ = ("init", "steps", "uses_x")
+
+    def __init__(self, init: tuple[float, ...], steps: tuple[tuple, ...], uses_x: bool) -> None:
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "uses_x", uses_x)
 
     def __call__(self, a: float) -> Optional[float]:
         """Value at x = a, or None where eval_real calls it undefined."""
@@ -695,20 +700,27 @@ _ABS_TOL = 1e-4
 _REL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class DiffViolation:
-    point: float
-    expected: float
-    got: Optional[float]
+class DiffViolation(Record):
+    __slots__ = ("point", "expected", "got")
+
+    def __init__(self, point: float, expected: float, got: Optional[float]) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
 
 
-@dataclass
-class DiffCheckReport:
-    term: SynTerm
-    derivative: SynTerm
-    checked: int = 0
-    skipped: int = 0
-    violations: list[DiffViolation] = field(default_factory=list)
+class DiffCheckReport(MutableRecord):
+    __slots__ = ("term", "derivative", "checked", "skipped", "violations")
+
+    def __init__(
+        self, term: SynTerm, derivative: SynTerm, checked: int = 0, skipped: int = 0,
+        violations: Optional[list[DiffViolation]] = None,
+    ) -> None:
+        self.term = term
+        self.derivative = derivative
+        self.checked = checked
+        self.skipped = skipped
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -746,19 +758,23 @@ def check_spec_diff(t: SynTerm, points: list[float]) -> DiffCheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class DomainPoint:
-    point: float
-    defined: bool
+class DomainPoint(Record):
+    __slots__ = ("point", "defined")
+
+    def __init__(self, point: float, defined: bool) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "defined", defined)
 
     @property
     def status(self) -> str:
         return "defined" if self.defined else "undefined"
 
 
-@dataclass(frozen=True)
-class DomainReport:
-    entries: tuple[DomainPoint, ...]
+class DomainReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[DomainPoint, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def defined_points(self) -> list[float]:
         return [e.point for e in self.entries if e.defined]

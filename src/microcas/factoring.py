@@ -27,7 +27,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .terms import (
     ADD_I,
@@ -38,6 +37,7 @@ from .terms import (
     App,
     IntLit,
     IntV,
+    Record,
     SynTerm,
     Value,
     fold,
@@ -394,24 +394,22 @@ def factor_int(n: int) -> "PrimeFactorization":
     return _factorization(sign, tuple(sorted(powers.items())))
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Record):
     """sign in {-1, 0, +1} plus strictly increasing (prime, exponent) pairs.
 
     sign 0 means the value 0 and carries no factors; signs +-1 with an
     empty factor list mean +-1.
     """
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("sign", "factors")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.sign == 0 and self.factors:
+        if sign == 0 and factors:
             raise ValueError("zero has no prime factors")
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
@@ -419,6 +417,8 @@ class PrimeFactorization:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
 
 def _factorization(sign: int, factors: tuple[tuple[int, int], ...]) -> PrimeFactorization:

@@ -19,7 +19,6 @@ instead of silently.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -32,12 +31,14 @@ from .terms import (
     IntLit,
     IntV,
     Lambda,
+    MutableRecord,
     Quote,
     RAT,
     FRAC,
     REAL,
     RatLit,
     RatV,
+    Record,
     SYNTAX,
     SynTerm,
     TermV,
@@ -53,24 +54,24 @@ from . import differentiation as dr
 from .printing import to_sexpr
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     """Knobs for generation and check sizes; same seed, same run."""
 
-    seed: int
-    max_depth: int = 6
-    coeff_bound: int = 12
-    cases: int = 500
+    __slots__ = ("seed", "max_depth", "coeff_bound", "cases")
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
+    def __init__(self, seed: int, max_depth: int = 6, coeff_bound: int = 12, cases: int = 500) -> None:
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.cases < 1:
+        if cases < 1:
             raise ValueError("cases must be at least 1")
-        if self.coeff_bound < 1:
+        if coeff_bound < 1:
             raise ValueError("coeff_bound must be at least 1")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "coeff_bound", coeff_bound)
+        object.__setattr__(self, "cases", cases)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +268,18 @@ def draw_non_member(rng: random.Random, target: str) -> SynTerm:
 # reports
 
 
-@dataclass
-class BranchTally:
+class BranchTally(MutableRecord):
     """Pass/fail counts for one branch of a contract."""
 
-    name: str
-    cases: int = 0
-    failures: int = 0
-    first_counterexample: Optional[str] = None
+    __slots__ = ("name", "cases", "failures", "first_counterexample")
+
+    def __init__(
+        self, name: str, cases: int = 0, failures: int = 0, first_counterexample: Optional[str] = None,
+    ) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = failures
+        self.first_counterexample = first_counterexample
 
     def record(self, ok: bool, witness: Callable[[], str]) -> None:
         self.cases += 1
@@ -284,11 +289,13 @@ class BranchTally:
                 self.first_counterexample = witness()
 
 
-@dataclass
-class Report:
-    check: str
-    seed: int
-    branches: list[BranchTally] = field(default_factory=list)
+class Report(MutableRecord):
+    __slots__ = ("check", "seed", "branches")
+
+    def __init__(self, check: str, seed: int, branches: Optional[list[BranchTally]] = None) -> None:
+        self.check = check
+        self.seed = seed
+        self.branches = [] if branches is None else branches
 
     @property
     def ok(self) -> bool:

@@ -38,7 +38,6 @@ and one run.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional
@@ -59,6 +58,7 @@ from .terms import (
     Lambda,
     NotInLanguage,
     RatLit,
+    Record,
     RatV,
     Steps,
     SynTerm,
@@ -177,8 +177,7 @@ def body(t: SynTerm) -> SynTerm:
 # values in the field of fractions
 
 
-@dataclass(frozen=True)
-class CanonicalFraction:
+class CanonicalFraction(Record):
     """Reduced fraction of polynomials: gcd(num, den) = 1, den monic.
 
     Zero is 0/1.  Use ``make`` to build one from an arbitrary pair; the
@@ -196,8 +195,7 @@ class CanonicalFraction:
     ``*``: a monic denominator of degree 0 is 1.
     """
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
 
     @classmethod
     def make(cls, num: Poly, den: Poly) -> "CanonicalFraction":
@@ -210,16 +208,18 @@ class CanonicalFraction:
             num, den = num // g, den // g
         return _monic_den(num, den)
 
-    def __post_init__(self) -> None:
-        if self.den.is_zero():
+    def __init__(self, num: Poly, den: Poly) -> None:
+        if den.is_zero():
             raise ZeroDivisionError("fraction with zero denominator")
-        if not self.num.is_zero():
-            if self.den.leading != 1:
+        if not num.is_zero():
+            if den.leading != 1:
                 raise ValueError("denominator must be monic")
-            if poly_gcd(self.num, self.den).degree != 0:
+            if poly_gcd(num, den).degree != 0:
                 raise ValueError("fraction must be reduced")
-        elif self.den != ONE:
+        elif den != ONE:
             raise ValueError("zero must be 0/1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __add__(self, other: "CanonicalFraction") -> "CanonicalFraction":
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -311,8 +311,7 @@ _STEP_UNARY = op_table({NEG_Q: _NEG, INV_Q: _INV})
 _REDUCE_ABOVE = 1 << 4096
 
 
-@dataclass(frozen=True)
-class RatProgram:
+class RatProgram(Record):
     """A rational expression lowered to straight-line code over exact
     integer pairs, the exact counterpart of ``compile_real``'s program.
 
@@ -330,9 +329,12 @@ class RatProgram:
     as the norm-fun contract, compare pairs by cross-multiplying.
     """
 
-    nums: tuple[int, ...]
-    dens: tuple[int, ...]
-    steps: tuple[tuple, ...]
+    __slots__ = ("nums", "dens", "steps")
+
+    def __init__(self, nums: tuple[int, ...], dens: tuple[int, ...], steps: tuple[tuple, ...]) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "dens", dens)
+        object.__setattr__(self, "steps", steps)
 
     def pair(self, num: int, den: int) -> Optional[tuple[int, int]]:
         """Value at x = num/den, for den > 0, as an unreduced integer

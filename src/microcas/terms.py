@@ -7,6 +7,12 @@ values, and nothing stops you from building an ill-typed one such as
 host side: integers, exact rationals, reduced fractions of polynomials,
 rational functions, and terms-as-data.
 
+Types, terms and values, and the records of the other modules, are
+``Record`` classes: plain ``__slots__`` classes whose fields are set
+once (the three reports that are filled in place are a
+``MutableRecord``).  ``==`` and ``hash`` of a term run on explicit stacks, and a
+composite term keeps its hash once computed.
+
 ``quote`` wraps a term so it can be handled as data of type SYNTAX.
 ``eval_as`` goes the other way: given a quotation and a target type it
 returns the value the quoted term stands for, or None when the term
@@ -30,20 +36,91 @@ undefined operand makes its whole term undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from importlib import import_module
 from sys import getrefcount
 from typing import Callable, Optional, Union
+
+# Writes a field of a frozen instance, from its __init__.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable classes: types, terms, values, and the
+    records of the other modules.
+
+    A subclass lists its fields as its ``__slots__`` (or as ``_fields``,
+    where a further slot caches something) and sets them once, in
+    ``__init__``, through ``object.__setattr__``; assigning or deleting
+    an attribute afterwards raises AttributeError.  Two instances of the
+    same class are equal when their fields are, and equal instances hash
+    alike; the repr is ``Name(field=value, ...)``; ``copy`` and
+    ``pickle`` rebuild an instance through ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class MutableRecord(Record):
+    """A record whose fields may be assigned after construction; it has
+    no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
 
 # ---------------------------------------------------------------------------
 # semantic types
 
 
-@dataclass(frozen=True)
-class BaseType:
-    name: str
+class BaseType(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object):
+        if self is other:
+            return True
+        if type(other) is not BaseType:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -52,10 +129,22 @@ class BaseType:
         return self.name
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "SemType"
-    cod: "SemType"
+class Arrow(Record):
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, dom: SemType, cod: SemType) -> None:
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+
+    def __eq__(self, other: object):
+        if self is other:
+            return True
+        if type(other) is not Arrow:
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod))
 
     def __str__(self) -> str:
         return f"({self.dom} -> {self.cod})"
@@ -80,11 +169,11 @@ def type_name(ty: SemType) -> str:
 # terms
 
 # Characters of s-expression a term's repr shows before it is cut.  A
-# dataclass repr would write a shared subterm out once per path.
+# repr of the fields would write a shared subterm out once per path.
 REPR_LIMIT = 200
 
 
-class _Term:
+class _Term(Record):
     """Base of the term classes, for their repr: the s-expression, cut
     at REPR_LIMIT characters."""
 
@@ -99,100 +188,196 @@ class _Term:
             return f"<{type(self).__name__} with no s-expression>"
 
 
-@dataclass(frozen=True, repr=False)
+def _tree_eq(self: SynTerm, other: object):
+    """``==`` of an application, abstraction or quotation: identity,
+    then ``same_term``, so depth is bounded by memory only."""
+    if self is other:
+        return True
+    if type(other) is not type(self):
+        return NotImplemented
+    return same_term(self, other)
+
+
+def _tree_hash(self: SynTerm) -> int:
+    """hash of an application, abstraction or quotation: the hash of its
+    fields, as for any record, kept in its ``_hash`` slot.  The nodes
+    below it that have none yet are hashed first, children before
+    parents, on an explicit stack."""
+    try:
+        return self._hash
+    except AttributeError:
+        pass
+    todo = [self]
+    while todo:
+        node = todo[-1]
+        fields = node._values()
+        deeper = [c for c in fields if type(c) in _TREES and not hasattr(c, "_hash")]
+        if deeper:
+            todo += deeper
+        else:
+            _set(todo.pop(), "_hash", hash(fields))
+    return self._hash
+
+
 class IntLit(_Term):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
+
+    def __eq__(self, other: object):
+        if type(other) is not IntLit:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, repr=False)
 class RatLit(_Term):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+
+    def __eq__(self, other: object):
+        if type(other) is not RatLit:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, repr=False)
 class Var(_Term):
-    name: str
-    ty: SemType
+    __slots__ = ("name", "ty")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, ty: SemType) -> None:
+        if not name:
             raise ValueError("variable name must be nonempty")
+        _set(self, "name", name)
+        _set(self, "ty", ty)
+
+    def __eq__(self, other: object):
+        if type(other) is not Var:
+            return NotImplemented
+        return self.name == other.name and self.ty == other.ty
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.ty))
 
 
-@dataclass(frozen=True, repr=False)
 class Const(_Term):
-    symbol: str
-    ty: SemType
+    __slots__ = ("symbol", "ty")
+
+    def __init__(self, symbol: str, ty: SemType) -> None:
+        _set(self, "symbol", symbol)
+        _set(self, "ty", ty)
+
+    def __eq__(self, other: object):
+        if type(other) is not Const:
+            return NotImplemented
+        return self is other or (self.symbol == other.symbol and self.ty == other.ty)
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.ty))
 
 
-@dataclass(frozen=True, repr=False)
 class App(_Term):
-    fun: "SynTerm"
-    arg: "SynTerm"
+    __slots__ = ("fun", "arg", "_hash")
+    _fields = ("fun", "arg")
+
+    def __init__(self, fun: SynTerm, arg: SynTerm) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
-@dataclass(frozen=True, repr=False)
 class Lambda(_Term):
-    var: str
-    var_ty: SemType
-    body: "SynTerm"
+    __slots__ = ("var", "var_ty", "body", "_hash")
+    _fields = ("var", "var_ty", "body")
+
+    def __init__(self, var: str, var_ty: SemType, body: SynTerm) -> None:
+        _set(self, "var", var)
+        _set(self, "var_ty", var_ty)
+        _set(self, "body", body)
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
-@dataclass(frozen=True, repr=False)
 class Quote(_Term):
-    term: "SynTerm"
+    __slots__ = ("term", "_hash")
+    _fields = ("term",)
+
+    def __init__(self, term: SynTerm) -> None:
+        _set(self, "term", term)
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
 SynTerm = Union[IntLit, RatLit, Var, Const, App, Lambda, Quote]
+_TREES = (App, Lambda, Quote)  # the term classes whose fields hold terms
 
 # ---------------------------------------------------------------------------
 # values
 
 
-@dataclass(frozen=True)
-class IntV:
-    value: int
+class IntV(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class RatV:
-    value: Fraction
+class RatV(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class FracV:
-    value: "CanonicalFraction"  # noqa: F821  (defined in microcas.rational)
+class FracV(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: CanonicalFraction) -> None:  # noqa: F821  (defined in microcas.rational)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class FnQQ:
+class FnQQ(Record):
     """A rational function, carried as the Lambda term that denotes it.
 
     Calling it evaluates the body at a point exactly; the body is
     lowered by ``rational.compile_rat`` once, on the first call, and the
-    program is kept on the instance.  Equality and hashing read the term
-    only.
+    program is kept in the ``_program`` slot.  Equality, hashing, copies
+    and pickles read the term only.
     """
 
-    term: SynTerm
+    __slots__ = ("term", "_program")
+    _fields = ("term",)
 
-    @cached_property
-    def _program(self) -> Callable[[Fraction], Optional[Fraction]]:
-        from .rational import compile_rat
-
-        return compile_rat(self.term.body)
+    def __init__(self, term: SynTerm) -> None:
+        _set(self, "term", term)
 
     def __call__(self, a: Fraction) -> Optional[Fraction]:
-        return self._program(a)
+        try:
+            program = self._program
+        except AttributeError:
+            from .rational import compile_rat
+
+            program = compile_rat(self.term.body)
+            _set(self, "_program", program)
+        return program(a)
 
 
-@dataclass(frozen=True)
-class TermV:
-    term: SynTerm
+class TermV(Record):
+    __slots__ = ("term",)
+
+    def __init__(self, term: SynTerm) -> None:
+        _set(self, "term", term)
 
 
 Value = Union[IntV, RatV, FracV, FnQQ, TermV]
@@ -271,8 +456,8 @@ X_R = Var("x", REAL)
 
 def r_lit(c: Fraction | int) -> SynTerm:
     """Rational constants of the real language are Const nodes whose
-    symbol is the exact value's text."""
-    return Const(str(Fraction(c)), REAL)
+    symbol is the exact value's text, the text of ``Fraction(c)``."""
+    return Const(str(c) if type(c) is int or type(c) is Fraction else str(Fraction(c)), REAL)
 
 
 def literal_value(t: SynTerm) -> Optional[Fraction]:
@@ -378,9 +563,9 @@ def match_binary(t: SynTerm, op: Const) -> Optional[tuple[SynTerm, SynTerm]]:
 
 
 def same_term(a: SynTerm, b: SynTerm) -> bool:
-    """Structural equality of two terms, as ``==`` gives it, but on an
-    explicit stack, so depth is bounded by memory only (dataclass ``==``
-    recurses once per level).  A node shared by both sides is equal
+    """Structural equality of two terms, which ``==`` of an application,
+    abstraction or quotation calls: on an explicit stack, so depth is
+    bounded by memory only.  A node shared by both sides is equal
     without a walk, and each distinct pair of applications is compared
     once, so the walk is linear in the number of distinct nodes even
     where shared subterms make the trees exponentially larger."""

@@ -28,14 +28,23 @@ _PRELUDE = """\
 import sys
 def loaded():
     return sorted(m for m in sys.modules if m.split('.')[0] == 'microcas')
+def heavy():
+    return sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)
+heavy_before = heavy()
 out = {}
 """
+
+# Records which of dataclasses and inspect were loaded before the code
+# ran and which after it.
+_HEAVY = "out.update(before=heavy_before, heavy=heavy())\n"
 
 
 def _fresh(code: str) -> dict:
     """Run code in a new interpreter, after a prelude that defines
-    ``loaded()``, the microcas modules imported so far, and an empty
-    dict ``out``; return ``out`` as the code left it."""
+    ``loaded()``, the microcas modules imported so far, ``heavy()``, the
+    modules of dataclasses and inspect imported so far, ``heavy_before``,
+    its value before the code, and an empty dict ``out``; return ``out``
+    as the code left it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     script = _PRELUDE + code + "\nimport json\nprint(json.dumps(out))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
@@ -69,9 +78,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     ids=lambda v: " ".join(v) if isinstance(v, list) else "",
 )
 def test_a_subcommand_loads_only_its_language(argv, language):
-    doc = _fresh(_run_main(argv) + "out.update(loaded=loaded(), json='json' in sys.modules)\n")
+    doc = _fresh(_run_main(argv) + _HEAVY + "out.update(loaded=loaded(), json='json' in sys.modules)\n")
     assert set(doc["loaded"]) == _BASE | {f"microcas.{m}" for m in language}
     assert not doc["json"]
+    assert doc["before"] == doc["heavy"] == []
 
 
 def test_json_output_loads_json_and_check_loads_the_harness():
@@ -83,6 +93,23 @@ def test_json_output_loads_json_and_check_loads_the_harness():
     )
     assert set(doc["diff"]) == _BASE | {"microcas.differentiation"} and doc["json"]
     assert "microcas.harness" in doc["check"]
+
+
+def test_no_process_loads_dataclasses_or_inspect():
+    """The kernel's classes are plain __slots__ classes, so neither a
+    subcommand (check included) nor importing every module loads
+    dataclasses, or inspect through it."""
+    for code in (
+        _run_main(["check", "all", "--cases", "5", "--format", "json"]),
+        "import microcas.cli, microcas.harness\n",
+    ):
+        doc = _fresh(code + _HEAVY + "out.update(harness='microcas.harness' in sys.modules)\n")
+        assert doc == {"before": [], "heavy": [], "harness": True}
+
+
+def test_the_package_source_names_no_dataclass():
+    for path in sorted((SRC / "microcas").glob("*.py")):
+        assert "dataclass" not in path.read_text(), path.name
 
 
 def test_importing_the_package_loads_nothing_and_every_public_name_loads():
