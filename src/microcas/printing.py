@@ -37,7 +37,7 @@ they compute about a subterm is computed once per distinct node: each
 ``to_infix`` call keeps the length of every power chain it reads, by
 the identities of its base and rest, so printing the shared chains of
 a rendered polynomial reads each link once, and operands are compared
-by identity first, then with ``terms.same_term``.
+with ``==``, which checks identity first.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .terms import (
     match_unary,
     op_entry,
     op_table,
-    same_term,
     type_name,
 )
 
@@ -245,13 +244,13 @@ def _as_power_chain(base: SynTerm, rest: SynTerm, chains: dict) -> Optional[int]
     while True:
         inner = match_binary(rest, MUL_Q)
         if inner is None:
-            n = int(_same(rest, base))
+            n = int(rest == base)
             break
         key = (id(base), id(rest))
         n = chains.get(key)
         if n is not None:
             break
-        if not _same(inner[0], base):
+        if inner[0] != base:
             n = chains[key] = 0
             break
         links.append(key)
@@ -261,12 +260,6 @@ def _as_power_chain(base: SynTerm, rest: SynTerm, chains: dict) -> Optional[int]
             n += 1
         chains[key] = n
     return n + 1 if n else None
-
-
-def _same(a: SynTerm, b: SynTerm) -> bool:
-    """a == b, by identity first: ``same_term`` walks only two nodes of
-    one type."""
-    return a is b or (type(a) is type(b) and same_term(a, b))
 
 
 _INFIX_BINARY = op_table({
