@@ -562,15 +562,23 @@ def match_binary(t: SynTerm, op: Const) -> Optional[tuple[SynTerm, SynTerm]]:
     return None
 
 
+# Pairs of applications that same_term compares before it starts to
+# record them.  Two trees repeat no pair, so comparing trees of up to
+# this many applications keeps no record.
+_UNRECORDED_PAIRS = 1 << 16
+
+
 def same_term(a: SynTerm, b: SynTerm) -> bool:
     """Structural equality of two terms, which ``==`` of an application,
     abstraction or quotation calls: on an explicit stack, so depth is
     bounded by memory only.  A node shared by both sides is equal
-    without a walk, and each distinct pair of applications is compared
-    once, so the walk is linear in the number of distinct nodes even
-    where shared subterms make the trees exponentially larger."""
+    without a walk.  Past the first ``_UNRECORDED_PAIRS`` pairs of
+    applications, each distinct pair is recorded and compared once, so
+    the walk is linear in the number of distinct pairs even where shared
+    subterms make the trees exponentially larger."""
     todo = [(a, b)]
     seen: set[tuple[int, int]] = set()
+    unrecorded = _UNRECORDED_PAIRS
     while todo:
         a, b = todo.pop()
         if a is b:
@@ -578,10 +586,13 @@ def same_term(a: SynTerm, b: SynTerm) -> bool:
         if type(a) is not type(b):
             return False
         if type(a) is App:
-            pair = (id(a), id(b))
-            if pair in seen:
-                continue
-            seen.add(pair)
+            if unrecorded:
+                unrecorded -= 1
+            else:
+                pair = (id(a), id(b))
+                if pair in seen:
+                    continue
+                seen.add(pair)
             todo += ((a.arg, b.arg), (a.fun, b.fun))
         elif type(a) is Lambda:
             if a.var != b.var or a.var_ty != b.var_ty:

@@ -16,6 +16,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -191,8 +192,16 @@ def test_a_normal_form_reparses_equal_with_an_equal_hash():
     n = norm_rat_expr(parse("(x + 1)^200", "ratexpr"))
     m = parse(to_infix(n), "ratexpr")
     assert m is not n
-    assert m == n and n == m and not m != n
+    tracemalloc.start()
+    try:
+        assert m == n and n == m and not m != n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert hash(m) == hash(n)
+    # The parsed side is a tree of about 20,000 applications, so no pair
+    # recurs and the walk keeps no record of the pairs it compared.
+    assert peak < 200_000
 
 
 def _nests(depth: int, bottom) -> list:
