@@ -10,8 +10,8 @@ rational functions, and terms-as-data.
 Types, terms and values, and the records of the other modules, are
 ``Record`` classes: plain ``__slots__`` classes whose fields are set
 once (the three reports that are filled in place are a
-``MutableRecord``).  ``==`` and ``hash`` of a term run on explicit stacks, and a
-composite term keeps its hash once computed.
+``MutableRecord``).  ``==`` and ``hash`` of a term run on explicit
+stacks, and a composite term keeps its hash once computed.
 
 ``quote`` wraps a term so it can be handled as data of type SYNTAX.
 ``eval_as`` goes the other way: given a quotation and a target type it
@@ -199,8 +199,8 @@ def _tree_eq(self: SynTerm, other: object):
 
 
 def _tree_hash(self: SynTerm) -> int:
-    """hash of an application, abstraction or quotation: the hash of its
-    fields, as for any record, kept in its ``_hash`` slot.  The nodes
+    """The hash of an application, abstraction or quotation: the hash of
+    its fields, as for any record, kept in its ``_hash`` slot.  The nodes
     below it that have none yet are hashed first, children before
     parents, on an explicit stack."""
     try:
