@@ -73,7 +73,6 @@ from .terms import (
     literal_value,
     match_binary,
     match_unary,
-    op_entry,
     op_table,
     type_name,
 )
@@ -142,11 +141,11 @@ def _infix(t: SynTerm, chains: dict) -> Layout:
     if type(t) is App:
         f = t.fun
         if type(f) is App:
-            make = op_entry(_INFIX_BINARY, f.fun)
+            make = _INFIX_BINARY.get(id(f.fun))
             if make is not None:
                 return make(f.arg, t.arg, chains)
         else:
-            make = op_entry(_INFIX_UNARY, f)
+            make = _INFIX_UNARY.get(id(f))
             if make is not None:
                 return make(t.arg, chains)
         # Name the operator only, not the subtree it heads.

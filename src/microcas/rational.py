@@ -330,11 +330,6 @@ class RatProgram(Record):
 
     __slots__ = ("nums", "dens", "steps")
 
-    def __init__(self, nums: tuple[int, ...], dens: tuple[int, ...], steps: tuple[tuple, ...]) -> None:
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "dens", dens)
-        object.__setattr__(self, "steps", steps)
-
     def pair(self, num: int, den: int) -> Optional[tuple[int, int]]:
         """Value at x = num/den, for den > 0, as an unreduced integer
         pair (n, d) with d > 0; None where it is undefined: the first

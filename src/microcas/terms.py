@@ -10,8 +10,10 @@ rational functions, and terms-as-data.
 Types, terms and values, and the records of the other modules, are
 ``Record`` classes: plain ``__slots__`` classes whose fields are set
 once (the three reports that are filled in place are a
-``MutableRecord``).  ``==`` and ``hash`` of a term run on explicit
-stacks, and a composite term keeps its hash once computed.
+``MutableRecord``).  Each type and each registered operator constant is
+one object, which its constructor, copies and pickles return, so ``==``
+and ``hash`` on it are identity.  The other terms compare structurally,
+on explicit stacks, and a composite term keeps its hash once computed.
 
 ``quote`` wraps a term so it can be handled as data of type SYNTAX.
 ``eval_as`` goes the other way: given a quotation and a target type it
@@ -51,12 +53,13 @@ class Record:
     records of the other modules.
 
     A subclass lists its fields as its ``__slots__`` (or as ``_fields``,
-    where a further slot caches something) and sets them once, in
-    ``__init__``, through ``object.__setattr__``; assigning or deleting
-    an attribute afterwards raises AttributeError.  Two instances of the
-    same class are equal when their fields are, and equal instances hash
-    alike; the repr is ``Name(field=value, ...)``; ``copy`` and
-    ``pickle`` rebuild an instance through ``__init__``.
+    where a further slot caches something).  ``Name(*values)`` sets them
+    once, in order, and raises TypeError on a wrong count; a class that
+    checks its fields or has defaults writes its own ``__init__``.
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    Two instances of the same class are equal when their fields are, and
+    equal instances hash alike; the repr is ``Name(field=value, ...)``;
+    ``copy`` and ``pickle`` rebuild an instance through its constructor.
     """
 
     __slots__ = ()
@@ -66,6 +69,13 @@ class Record:
         super().__init_subclass__()
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}, given {len(values)} values")
+        for name, value in zip(fields, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -106,45 +116,36 @@ class MutableRecord(Record):
 # semantic types
 
 
-class BaseType(Record):
+class _Type(Record):
+    """Base of the semantic types: one object per type, so ``==`` and
+    ``hash`` are identity.  The constructor returns the one object of its
+    fields, and ``copy``, ``deepcopy`` and ``pickle`` go through it."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    __init__ = object.__init__  # __new__ sets the fields
+    _made: dict[tuple, _Type] = {}  # every type built, by its class and fields
+
+    def __new__(cls, *values):
+        ty = cls._made.get((cls, values))
+        if ty is None:
+            ty = cls._made[cls, values] = object.__new__(cls)
+            Record.__init__(ty, *values)
+        return ty
+
+
+class BaseType(_Type):
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
-    def __eq__(self, other: object):
-        if self is other:
-            return True
-        if type(other) is not BaseType:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
-    def __repr__(self) -> str:
-        return self.name
+    __repr__ = __str__
 
 
-class Arrow(Record):
+class Arrow(_Type):
     __slots__ = ("dom", "cod")
-
-    def __init__(self, dom: SemType, cod: SemType) -> None:
-        _set(self, "dom", dom)
-        _set(self, "cod", cod)
-
-    def __eq__(self, other: object):
-        if self is other:
-            return True
-        if type(other) is not Arrow:
-            return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod
-
-    def __hash__(self) -> int:
-        return hash((self.dom, self.cod))
 
     def __str__(self) -> str:
         return f"({self.dom} -> {self.cod})"
@@ -188,35 +189,55 @@ class _Term(Record):
             return f"<{type(self).__name__} with no s-expression>"
 
 
-def _tree_eq(self: SynTerm, other: object):
-    """``==`` of an application, abstraction or quotation: identity,
-    then ``same_term``, so depth is bounded by memory only."""
-    if self is other:
-        return True
-    if type(other) is not type(self):
-        return NotImplemented
-    return same_term(self, other)
+class _Tree(_Term):
+    """Base of the term classes whose fields hold terms: applications,
+    abstractions and quotations.  ``==`` is identity, then ``same_term``;
+    the hash is that of the fields, kept in the ``_hash`` slot; a copy or
+    pickle is a table of the distinct nodes.  None of them recurses."""
 
+    __slots__ = ()
 
-def _tree_hash(self: SynTerm) -> int:
-    """The hash of an application, abstraction or quotation: the hash of
-    its fields, as for any record, kept in its ``_hash`` slot.  The nodes
-    below it that have none yet are hashed first, children before
-    parents, on an explicit stack."""
-    try:
+    def __eq__(self, other: object):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return same_term(self, other)
+
+    def __hash__(self) -> int:
+        # The nodes below that have no hash yet are hashed first,
+        # children before parents, on an explicit stack.
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        todo = [self]
+        while todo:
+            node = todo[-1]
+            fields = node._values()
+            deeper = [c for c in fields if type(c) in _TREES and not hasattr(c, "_hash")]
+            if deeper:
+                todo += deeper
+            else:
+                _set(todo.pop(), "_hash", hash(fields))
         return self._hash
-    except AttributeError:
-        pass
-    todo = [self]
-    while todo:
-        node = todo[-1]
-        fields = node._values()
-        deeper = [c for c in fields if type(c) in _TREES and not hasattr(c, "_hash")]
-        if deeper:
-            todo += deeper
-        else:
-            _set(todo.pop(), "_hash", hash(fields))
-    return self._hash
+
+    def __reduce__(self) -> tuple:
+        # The term's distinct objects, each after its fields and the term
+        # last: a node of these classes as (class, i, ...), with i, ...
+        # the places of its fields, and any other object as (object,).
+        at: dict[int, int] = {}  # id of an object to its place in the table
+        table, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            fields = node._values() if type(node) in _TREES else ()
+            new = [f for f in fields if id(f) not in at]
+            if new:
+                todo += (node, *new)
+            elif id(node) not in at:
+                at[id(node)] = len(table)
+                table.append((type(node), *[at[id(f)] for f in fields]) if fields else (node,))
+        return _rebuild, (table,)
 
 
 class IntLit(_Term):
@@ -268,11 +289,15 @@ class Var(_Term):
 
 
 class Const(_Term):
-    __slots__ = ("symbol", "ty")
+    """An operator constant or a literal of the real language.  The
+    constructor returns the one node of a registered constant, so folds
+    match operators by identity; any other constant is a new node."""
 
-    def __init__(self, symbol: str, ty: SemType) -> None:
-        _set(self, "symbol", symbol)
-        _set(self, "ty", ty)
+    __slots__ = ("symbol", "ty")
+    __init__ = object.__init__  # __new__ sets the fields
+
+    def __new__(cls, symbol: str, ty: SemType) -> Const:
+        return _CONSTANTS.get((symbol, ty)) or _const(symbol, ty)
 
     def __eq__(self, other: object):
         if type(other) is not Const:
@@ -283,7 +308,15 @@ class Const(_Term):
         return hash((self.symbol, self.ty))
 
 
-class App(_Term):
+def _const(symbol: str, ty: SemType) -> Const:
+    """A new constant node, not looked up in the registry."""
+    c = object.__new__(Const)
+    _set(c, "symbol", symbol)
+    _set(c, "ty", ty)
+    return c
+
+
+class App(_Tree):
     __slots__ = ("fun", "arg", "_hash")
     _fields = ("fun", "arg")
 
@@ -291,11 +324,8 @@ class App(_Term):
         _set(self, "fun", fun)
         _set(self, "arg", arg)
 
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
 
-
-class Lambda(_Term):
+class Lambda(_Tree):
     __slots__ = ("var", "var_ty", "body", "_hash")
     _fields = ("var", "var_ty", "body")
 
@@ -304,47 +334,41 @@ class Lambda(_Term):
         _set(self, "var_ty", var_ty)
         _set(self, "body", body)
 
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
 
-
-class Quote(_Term):
+class Quote(_Tree):
     __slots__ = ("term", "_hash")
     _fields = ("term",)
 
     def __init__(self, term: SynTerm) -> None:
         _set(self, "term", term)
 
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
-
 
 SynTerm = Union[IntLit, RatLit, Var, Const, App, Lambda, Quote]
 _TREES = (App, Lambda, Quote)  # the term classes whose fields hold terms
+
+
+def _rebuild(table: list[tuple]) -> SynTerm:
+    """The term a ``_Tree.__reduce__`` table lists, built in one loop."""
+    nodes: list = []
+    for kind, *fields in table:
+        nodes.append(kind(*[nodes[i] for i in fields]) if fields else kind)
+    return nodes[-1]
+
 
 # ---------------------------------------------------------------------------
 # values
 
 
 class IntV(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        _set(self, "value", value)
+    __slots__ = ("value",)  # an int
 
 
 class RatV(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction) -> None:
-        _set(self, "value", value)
+    __slots__ = ("value",)  # a Fraction
 
 
 class FracV(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value: CanonicalFraction) -> None:  # noqa: F821  (defined in microcas.rational)
-        _set(self, "value", value)
+    __slots__ = ("value",)  # a rational.CanonicalFraction
 
 
 class FnQQ(Record):
@@ -358,9 +382,6 @@ class FnQQ(Record):
 
     __slots__ = ("term", "_program")
     _fields = ("term",)
-
-    def __init__(self, term: SynTerm) -> None:
-        _set(self, "term", term)
 
     def __call__(self, a: Fraction) -> Optional[Fraction]:
         try:
@@ -376,9 +397,6 @@ class FnQQ(Record):
 class TermV(Record):
     __slots__ = ("term",)
 
-    def __init__(self, term: SynTerm) -> None:
-        _set(self, "term", term)
-
 
 Value = Union[IntV, RatV, FracV, FnQQ, TermV]
 
@@ -390,9 +408,9 @@ _EVALUATORS: dict[SemType, Callable[[SynTerm], Optional[Value]]] = {}
 
 
 def register_constant(symbol: str, ty: SemType) -> Const:
-    """Register a constant and return its node: the same node for every
-    call with the same symbol and type, so folds can match it by
-    identity."""
+    """Register a constant and return its node: the one node that
+    ``Const(symbol, ty)``, this function, and every copy and pickle of it
+    return from now on, so folds can match it by identity."""
     return _CONSTANTS.setdefault((symbol, ty), Const(symbol, ty))
 
 
@@ -456,8 +474,9 @@ X_R = Var("x", REAL)
 
 def r_lit(c: Fraction | int) -> SynTerm:
     """Rational constants of the real language are Const nodes whose
-    symbol is the exact value's text, the text of ``Fraction(c)``."""
-    return Const(str(c) if type(c) is int or type(c) is Fraction else str(Fraction(c)), REAL)
+    symbol is the exact value's text, the text of ``Fraction(c)``; no
+    registered constant has type REAL, so none is looked up."""
+    return _const(str(c) if type(c) is int or type(c) is Fraction else str(Fraction(c)), REAL)
 
 
 def literal_value(t: SynTerm) -> Optional[Fraction]:
@@ -465,7 +484,7 @@ def literal_value(t: SynTerm) -> Optional[Fraction]:
     literal, a rational literal, or a rational constant of the real
     language), else None."""
     if type(t) is Const:
-        return _read_literal(t.symbol) if t.ty == REAL else None
+        return _read_literal(t.symbol) if t.ty is REAL else None
     if type(t) is IntLit:
         return Fraction(t.value)
     if type(t) is RatLit:
@@ -550,14 +569,14 @@ _ABSTRACT = object()  # above an abstraction's body, with its variable type unde
 
 def match_unary(t: SynTerm, op: Const) -> Optional[SynTerm]:
     """The operand of ``op`` if t == App(op, u), else None."""
-    if isinstance(t, App) and t.fun == op:
+    if isinstance(t, App) and t.fun is op:
         return t.arg
     return None
 
 
 def match_binary(t: SynTerm, op: Const) -> Optional[tuple[SynTerm, SynTerm]]:
     """The operands if t == App(App(op, a), b), else None."""
-    if isinstance(t, App) and isinstance(t.fun, App) and t.fun.fun == op:
+    if isinstance(t, App) and isinstance(t.fun, App) and t.fun.fun is op:
         return t.fun.arg, t.arg
     return None
 
@@ -615,16 +634,6 @@ def op_table(ops: dict[Const, Callable]) -> dict[int, Callable]:
     return {id(c): f for c, f in ops.items()}
 
 
-def op_entry(table: dict[int, Callable], c: SynTerm) -> Optional[Callable]:
-    """The entry of operator node c in an ``op_table`` table, or None.
-    A node equal to a registered one but not the same object (a copy)
-    is looked up through the registry."""
-    entry = table.get(id(c))
-    if entry is None and type(c) is Const:
-        entry = table.get(id(_CONSTANTS.get((c.symbol, c.ty))))
-    return entry
-
-
 _UNARY_STEP = object()  # on fold's work stack, above the operator to apply
 _BINARY_STEP = object()
 _KEEP = object()  # above an application whose value fold keeps
@@ -645,8 +654,8 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
     Undefinedness is strict, here once for every fold: a None operand
     makes its node None without calling the operator.  Operands are
     visited left to right, on an explicit stack, so term depth is bounded
-    by memory only.  ``leaf`` may raise NotInLanguage.  The tables come
-    from ``op_table``; a miss by identity goes to ``op_entry``.
+    by memory only.  ``leaf`` may raise NotInLanguage; the tables come
+    from ``op_table``.
 
     Each distinct application is folded once, so the walk is linear in
     the number of distinct nodes, however often a subterm is shared.
@@ -671,12 +680,12 @@ def fold(t: SynTerm, leaf: Callable, unary: dict, binary: dict):
                 todo += (node, _KEEP)
             f = node.fun
             if type(f) is App:
-                op = binary.get(id(f.fun)) or op_entry(binary, f.fun)
+                op = binary.get(id(f.fun))
                 if op is not None:
                     todo += (op, _BINARY_STEP, node.arg, f.arg)
                     continue
             else:
-                op = unary.get(id(f)) or op_entry(unary, f)
+                op = unary.get(id(f))
                 if op is not None:
                     todo += (op, _UNARY_STEP, node.arg)
                     continue

@@ -24,7 +24,7 @@ from microcas.harness import (
     draw_rat_expr,
     draw_rat_fun,
 )
-from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit
+from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow
 from microcas.factoring import is_numeral
 from microcas.printing import to_sexpr
 from microcas.rational import (
@@ -247,6 +247,19 @@ def test_diff_witness_names_the_point(monkeypatch):
         "pointwise-agreement": "(app (const exp (real -> real)) (var x real)) at x = -2.5",
         "undefined-off-language": None,
     }
+
+
+def test_a_derivative_outside_the_language_fails_the_diff_suite(monkeypatch, capsys):
+    # A mutant diff whose derivative has no value anywhere: the suite
+    # reports it, and the CLI exits 4, not with a traceback.
+    from microcas import differentiation
+
+    monkeypatch.setattr(differentiation, "diff", lambda t: r_pow(X_R, X_R))
+    report = CHECKS["diff"](GenConfig(seed=0, cases=5))
+    failed = {b.name for b in report.branches if b.failures}
+    assert {"derivative-in-language", "pointwise-agreement"} <= failed
+    assert main(["check", "diff", "--cases", "5"]) == 4
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_type_mismatch_witness_names_the_type(monkeypatch):

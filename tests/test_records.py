@@ -4,15 +4,19 @@ Each is a plain ``__slots__`` class.  Its fields are set once; two
 instances of one class are equal when their fields are, and equal ones
 hash alike; the repr is the one a dataclass with the same fields prints
 (terms and types print their own); copies and pickles are rebuilt
-through ``__init__``.  ``==`` and ``hash`` of terms run on explicit
-stacks, so a term's depth is bounded by memory only.
+through the constructor.  A type and a registered operator constant are
+one object each, which copies and pickles return.  ``==``, ``hash``,
+copies and pickles of terms run on explicit stacks, so a term's depth is
+bounded by memory only.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import random
 import sys
 import time
@@ -23,11 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microcas import harness, parse, to_infix
+import microcas
+from microcas import harness, parse, to_infix, terms
 from microcas.differentiation import (
     X_R,
     DiffViolation,
     DomainPoint,
+    DomainReport,
+    RealProgram,
+    RealResult,
     check_spec_diff,
     compile_real,
     domain_sample,
@@ -41,11 +49,15 @@ from microcas.factoring import PrimeFactorization, factor_int
 from microcas.harness import BranchTally, GenConfig, Report
 from microcas.polynomials import ONE, ZERO, Poly
 from microcas.rational import (
-    X_Q, CanonicalFraction, compile_rat, frac_value, norm_rat_expr, q_add, q_inv, q_lit, q_mul,
+    ADD_Q, X_Q, CanonicalFraction, RatProgram, compile_rat, frac_value, norm_rat_expr, q_add, q_inv, q_lit, q_mul,
 )
 from microcas.terms import (
+    ADD_I,
+    FRAC,
     INT,
     RAT,
+    REAL,
+    SYNTAX,
     App,
     Arrow,
     BaseType,
@@ -55,9 +67,11 @@ from microcas.terms import (
     IntLit,
     IntV,
     Lambda,
+    MutableRecord,
     Quote,
     RatLit,
     RatV,
+    Record,
     TermV,
     Var,
     quote,
@@ -89,11 +103,75 @@ def _mutable() -> list:
     ]
 
 
+def _record_classes() -> set:
+    """Every record class of the package, found after importing each of
+    its modules, but the abstract bases."""
+    for module in pkgutil.iter_modules(microcas.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"microcas.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("microcas."):
+                found.add(cls)
+    return found - {MutableRecord, terms._Type, terms._Term, terms._Tree}
+
+
 def test_every_class_is_covered_and_has_no_instance_dict():
-    objs = _frozen() + _mutable()
-    assert len({type(o) for o in objs}) == len(objs) == 26
+    frozen, mutable = _frozen(), _mutable()
+    objs = frozen + mutable
+    assert len({type(o) for o in objs}) == len(objs)
+    assert {type(o) for o in objs} == _record_classes()
+    assert not any(isinstance(o, MutableRecord) for o in frozen)
+    assert all(isinstance(o, MutableRecord) for o in mutable)
     for obj in objs:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+# The records that take their fields as they are, through Record's own
+# constructor.
+_PLAIN = [IntV, RatV, FracV, FnQQ, TermV, RealResult, RealProgram, RatProgram, DiffViolation, DomainPoint,
+          DomainReport]
+
+
+@pytest.mark.parametrize("cls", _PLAIN, ids=lambda c: c.__name__)
+def test_a_plain_record_takes_exactly_its_fields(cls):
+    assert "__init__" not in vars(cls)
+    n = len(cls._fields)
+    obj = cls(*range(n))
+    assert [getattr(obj, f) for f in cls._fields] == list(range(n))
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(TypeError):
+            cls(*range(wrong))
+
+
+# -- one object per type and per registered operator -------------------------
+
+
+def _canonical() -> list:
+    return [INT, RAT, FRAC, REAL, SYNTAX, Arrow(RAT, Arrow(INT, INT)), *terms._CONSTANTS.values()]
+
+
+def test_types_and_registered_constants_are_one_object_each():
+    assert Arrow(RAT, RAT) is Arrow(RAT, RAT) and BaseType("rat") is RAT
+    assert Const("+", Arrow(INT, Arrow(INT, INT))) is ADD_I
+    assert Const("+", Arrow(RAT, Arrow(RAT, RAT))) is ADD_Q
+    for cls in (BaseType, Arrow):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    assert not hasattr(terms, "op_entry")
+    for obj in _canonical():
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj, (obj, protocol)
+
+
+def test_no_registered_constant_is_real():
+    # r_lit builds its node without a registry lookup, which is right
+    # only while no constant of type REAL is registered.
+    assert all(c.ty is not REAL for c in terms._CONSTANTS.values())
+    assert r_lit(2) is not r_lit(2) and r_lit(2) == r_lit(2)
+    assert Const("pi", REAL) is not Const("pi", REAL) and Const("pi", REAL) == Const("pi", REAL)
 
 
 @pytest.mark.parametrize("obj", _frozen(), ids=lambda o: type(o).__name__)
@@ -235,17 +313,54 @@ def test_hashes_are_the_hashes_of_the_fields():
     assert hash(IntV(3)) == hash((3,)) and hash(GenConfig(seed=1)) == hash((1, 6, 12, 500))
 
 
-def test_a_shared_ladder_hashes_in_linear_time():
-    def ladder(levels: int):
-        t = X_Q
-        for _ in range(levels):
-            t = q_add(q_mul(t, X_Q), t)
-        return t
+def _ladder(levels: int):
+    """t <- t * x + t, levels times: 2^levels paths over four
+    applications a level."""
+    t = X_Q
+    for _ in range(levels):
+        t = q_add(q_mul(t, X_Q), t)
+    return t
 
+
+def test_a_shared_ladder_hashes_in_linear_time():
     t0 = time.monotonic()
-    a, b = ladder(60), ladder(60)
-    assert hash(a) == hash(b) and a == b and a != ladder(59)
+    a, b = _ladder(60), _ladder(60)
+    assert hash(a) == hash(b) and a == b and a != _ladder(59)
     assert time.monotonic() - t0 < 0.5
+
+
+def _copies(t) -> list:
+    return [copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(t, 0))]
+
+
+def test_deep_terms_copy_and_pickle_without_recursion():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    for t in _nests(depth, q_lit(1)):
+        for other in _copies(t):
+            assert type(other) is type(t) and other is not t
+            assert other == t and hash(other) == hash(t)
+    right = _nests(depth, q_lit(1))[0]
+    assert pickle.loads(pickle.dumps(right)).fun.fun is ADD_Q
+
+
+def _distinct(t) -> int:
+    """The number of distinct objects among t's nodes."""
+    seen, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            if type(u) is App:
+                todo += (u.fun, u.arg)
+    return len(seen)
+
+
+def test_copies_and_pickles_keep_the_sharing():
+    t = _ladder(60)
+    assert _distinct(t) == 4 * 60 + 3  # with x, + and *
+    for other in _copies(t):
+        assert _distinct(other) == _distinct(t) and other == t
 
 
 # -- == against a field-by-field comparison written here ---------------------

@@ -183,12 +183,12 @@ def test_terms_are_hashable_values():
 
 def test_terms_with_copied_operator_nodes_read_the_same():
     # Folds match the registered operator nodes by identity; a copy of a
-    # term has equal operator nodes that are other objects.
+    # term has the same operator nodes.
     rat = q_mul(q_neg(X_Q), q_inv(q_add(X_Q, q_lit(1))))
     real = r_pow(r_sin(X_R), r_lit(2))
     closed = i_add(i_pow(IntLit(2), IntLit(3)), i_neg(IntLit(1)))
     rat2, real2, closed2 = copy.deepcopy((rat, real, closed))
-    assert rat2.fun.fun is not rat.fun.fun
+    assert rat2 is not rat and rat2.fun.fun is rat.fun.fun
     assert is_rat_expr(rat2) and frac_value(rat2) == frac_value(rat)
     assert is_diff_expr(real2)
     assert eval_as(quote(closed2), INT) == IntV(7)
