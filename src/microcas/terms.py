@@ -130,8 +130,9 @@ class _Type(Record):
     def __new__(cls, *values):
         ty = cls._made.get((cls, values))
         if ty is None:
-            ty = cls._made[cls, values] = object.__new__(cls)
+            ty = object.__new__(cls)
             Record.__init__(ty, *values)
+            ty = cls._made.setdefault((cls, values), ty)  # one winner if threads race
         return ty
 
 
