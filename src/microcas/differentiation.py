@@ -751,6 +751,12 @@ def check_spec_diff(t: SynTerm, points: list[float]) -> DiffCheckReport:
 class DomainPoint(Record):
     __slots__ = ("point", "defined")
 
+    # domain_sample builds one per grid point: through Record's own
+    # constructor, perfbench's `oneshot` eval_per_s read 3.0% lower.
+    def __init__(self, point: float, defined: bool) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "defined", defined)
+
     @property
     def status(self) -> str:
         return "defined" if self.defined else "undefined"

@@ -131,8 +131,7 @@ def test_every_class_is_covered_and_has_no_instance_dict():
 
 # The records that take their fields as they are, through Record's own
 # constructor.
-_PLAIN = [IntV, RatV, FracV, FnQQ, TermV, RealResult, RealProgram, RatProgram, DiffViolation, DomainPoint,
-          DomainReport]
+_PLAIN = [IntV, RatV, FracV, FnQQ, TermV, RealResult, RealProgram, RatProgram, DiffViolation, DomainReport]
 
 
 @pytest.mark.parametrize("cls", _PLAIN, ids=lambda c: c.__name__)
