@@ -311,10 +311,17 @@ def test_checks_are_reproducible():
     assert first == second
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_check_all_json_matches_recorded_output(seed, capsys):
+# The JSON cases keep their ids from before the text cases were added.
+_RECORDED = [pytest.param(seed, ["--format", "json"], "json", id=str(seed)) for seed in range(5)] + [
+    pytest.param(seed, [], "txt", id=f"text-{seed}") for seed in range(5)
+]
+
+
+@pytest.mark.parametrize("seed, fmt, suffix", _RECORDED)
+def test_check_all_json_matches_recorded_output(seed, fmt, suffix, capsys):
     """A refactor keeps every contract verdict and counterexample: the
-    report is byte for byte the one recorded in tests/data."""
-    assert main(["check", "all", "--format", "json", "--cases", "40", "--seed", str(seed)]) == 0
-    recorded = Path(__file__).parent / "data" / f"check_all_seed{seed}_cases40.json"
+    report, as JSON and as the default text, is byte for byte the one
+    recorded in tests/data."""
+    assert main(["check", "all", *fmt, "--cases", "40", "--seed", str(seed)]) == 0
+    recorded = Path(__file__).parent / "data" / f"check_all_seed{seed}_cases40.{suffix}"
     assert capsys.readouterr().out.encode() == recorded.read_bytes()
