@@ -47,7 +47,6 @@ from .terms import (
     X_R,
     App,
     Const,
-    MutableRecord,
     NotInLanguage,
     Record,
     Steps,
@@ -696,18 +695,8 @@ class DiffViolation(Record):
     __slots__ = ("point", "expected", "got")
 
 
-class DiffCheckReport(MutableRecord):
-    __slots__ = ("term", "derivative", "checked", "skipped", "violations")
-
-    def __init__(
-        self, term: SynTerm, derivative: SynTerm, checked: int = 0, skipped: int = 0,
-        violations: Optional[list[DiffViolation]] = None,
-    ) -> None:
-        self.term = term
-        self.derivative = derivative
-        self.checked = checked
-        self.skipped = skipped
-        self.violations = [] if violations is None else violations
+class DiffCheckReport(Record):
+    __slots__ = ("term", "derivative", "checked", "skipped", "violations")  # violations: a tuple
 
     @property
     def ok(self) -> bool:
@@ -732,20 +721,17 @@ def check_spec_diff(t: SynTerm, points: list[float]) -> DiffCheckReport:
     if dt is None:
         raise ValueError("not in the differentiable language")
     f, df = _lowered(t), compile_real(dt)
-    report = DiffCheckReport(term=t, derivative=dt)
     width = 1 + 2 * len(_H_STEPS)
     ys = f.run([b for a in points for b in _abscissae(_to_float(a))])
     wants = [_estimate(ys[k:k + width], f.uses_x) for k in range(0, len(ys), width)]
     checked = [(a, want) for a, want in zip(points, wants) if want is not None]
-    report.checked = len(checked)
-    report.skipped = len(wants) - len(checked)
-    if checked:
-        gots = [None] * len(checked) if df is None else df.run([a for a, _ in checked])
-        for (a, want), got in zip(checked, gots):
-            tol = max(_ABS_TOL, _REL_TOL * abs(want))
-            if got is None or abs(got - want) > tol:
-                report.violations.append(DiffViolation(a, want, got))
-    return report
+    gots = df.run([a for a, _ in checked]) if checked and df is not None else [None] * len(checked)
+    violations = tuple(
+        DiffViolation(a, want, got)
+        for (a, want), got in zip(checked, gots)
+        if got is None or abs(got - want) > max(_ABS_TOL, _REL_TOL * abs(want))
+    )
+    return DiffCheckReport(t, dt, len(checked), len(wants) - len(checked), violations)
 
 
 class DomainPoint(Record):

@@ -31,7 +31,6 @@ from .terms import (
     IntLit,
     IntV,
     Lambda,
-    MutableRecord,
     Quote,
     RAT,
     FRAC,
@@ -268,34 +267,15 @@ def draw_non_member(rng: random.Random, target: str) -> SynTerm:
 # reports
 
 
-class BranchTally(MutableRecord):
-    """Pass/fail counts for one branch of a contract."""
+class BranchTally(Record):
+    """Pass/fail counts for one branch of a contract, and the witness of
+    its first failure."""
 
     __slots__ = ("name", "cases", "failures", "first_counterexample")
 
-    def __init__(
-        self, name: str, cases: int = 0, failures: int = 0, first_counterexample: Optional[str] = None,
-    ) -> None:
-        self.name = name
-        self.cases = cases
-        self.failures = failures
-        self.first_counterexample = first_counterexample
 
-    def record(self, ok: bool, witness: Callable[[], str]) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures += 1
-            if self.first_counterexample is None:
-                self.first_counterexample = witness()
-
-
-class Report(MutableRecord):
-    __slots__ = ("check", "seed", "branches")
-
-    def __init__(self, check: str, seed: int, branches: Optional[list[BranchTally]] = None) -> None:
-        self.check = check
-        self.seed = seed
-        self.branches = [] if branches is None else branches
+class Report(Record):
+    __slots__ = ("check", "seed", "branches")  # branches: a tuple of BranchTally
 
     @property
     def ok(self) -> bool:
@@ -342,14 +322,19 @@ def _run(
 ) -> Report:
     """Tally the verdicts that cases draws from the seeded stream into
     the branches, declared up front in report order: a branch no case
-    reaches fails the report; an undeclared branch raises KeyError."""
-    tallies = {name: BranchTally(name) for name in branches}
+    reaches fails the report; an undeclared branch raises KeyError.  A
+    branch's witness is printed at its first failure only."""
+    counts = dict.fromkeys(branches, 0)
+    failures = dict.fromkeys(branches, 0)
+    witnesses: dict[str, str] = {}
     for branch, ok, t, suffix in cases(random.Random(cfg.seed)):
-        if ok:  # the common case, counted without building a witness closure
-            tallies[branch].cases += 1
-        else:
-            tallies[branch].record(False, lambda: to_sexpr(t) + suffix)
-    return Report(check, cfg.seed, list(tallies.values()))
+        counts[branch] += 1
+        if not ok:
+            failures[branch] += 1
+            if branch not in witnesses:
+                witnesses[branch] = to_sexpr(t) + suffix
+    tallies = tuple(BranchTally(b, counts[b], failures[b], witnesses.get(b)) for b in branches)
+    return Report(check, cfg.seed, tallies)
 
 
 def _off_language(

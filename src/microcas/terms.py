@@ -7,10 +7,10 @@ values, and nothing stops you from building an ill-typed one such as
 host side: integers, exact rationals, reduced fractions of polynomials,
 rational functions, and terms-as-data.
 
-Types, terms and values, and the records of the other modules, are
-``Record`` classes: plain ``__slots__`` classes whose fields are set
-once (the three reports that are filled in place are a
-``MutableRecord``).  Each type and each registered operator constant is
+Types, terms and values, and the records of the other modules (the
+contract reports among them), are ``Record`` classes: plain
+``__slots__`` classes whose fields are set once, when the value is
+built.  Each type and each registered operator constant is
 one object, which its constructor, copies and pickles return, so ``==``
 and ``hash`` on it are identity.  The other terms compare structurally,
 on explicit stacks, and a composite term keeps its hash once computed.
@@ -102,16 +102,6 @@ class Record:
         return type(self), self._values()
 
 
-class MutableRecord(Record):
-    """A record whose fields may be assigned after construction; it has
-    no hash."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-
 # ---------------------------------------------------------------------------
 # semantic types
 
@@ -177,9 +167,13 @@ REPR_LIMIT = 200
 
 class _Term(Record):
     """Base of the term classes, for their repr: the s-expression, cut
-    at REPR_LIMIT characters."""
+    at REPR_LIMIT characters.  A term is immutable, so ``copy.copy``
+    returns it."""
 
     __slots__ = ()
+
+    def __copy__(self) -> _Term:
+        return self
 
     def __repr__(self) -> str:
         from .printing import to_sexpr
@@ -193,8 +187,9 @@ class _Term(Record):
 class _Tree(_Term):
     """Base of the term classes whose fields hold terms: applications,
     abstractions and quotations.  ``==`` is identity, then ``same_term``;
-    the hash is that of the fields, kept in the ``_hash`` slot; a copy or
-    pickle is a table of the distinct nodes.  None of them recurses."""
+    the hash is that of the fields, kept in the ``_hash`` slot; a deep
+    copy or pickle is a table of the distinct nodes.  None of them
+    recurses."""
 
     __slots__ = ()
 
@@ -521,29 +516,37 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
 
     Variables carry their own types (two variables with the same name
     but different types are simply different variables), so no
-    environment is needed and open terms type fine.  Every node outside
-    a quotation is visited, on an explicit stack, so a node that is not
-    a term raises TypeError wherever it sits and depth is bounded by
-    memory only.
+    environment is needed and open terms type fine.  A real literal is
+    REAL when ``literal_value`` reads it.  Every distinct node outside a
+    quotation is visited, on an explicit stack, so a node that is not a
+    term raises TypeError wherever it sits and depth is bounded by
+    memory only.  The type of each application and abstraction is kept
+    by ``id(node)`` for the call, so a shared subterm is typed once.
     """
     types: list = []
     todo: list = [t]
     pop = todo.pop
+    kept: dict[int, Optional[SemType]] = {}
     while todo:
         node = pop()
-        if isinstance(node, App):
-            todo += (_APPLY, node.arg, node.fun)
-        elif isinstance(node, Lambda):
-            todo += (node.var_ty, _ABSTRACT, node.body)
+        if isinstance(node, (App, Lambda)):
+            if id(node) in kept:
+                types.append(kept[id(node)])
+            elif isinstance(node, App):
+                todo += (node, _APPLY, node.arg, node.fun)
+            else:
+                todo += (node, node.var_ty, _ABSTRACT, node.body)
         elif node is _APPLY:
             at = types.pop()
             ft = types[-1]
             ok = isinstance(ft, Arrow) and at is not None and ft.dom == at
             types[-1] = ft.cod if ok else None
+            kept[id(pop())] = types[-1]
         elif node is _ABSTRACT:
             var_ty = pop()
             if types[-1] is not None:
                 types[-1] = Arrow(var_ty, types[-1])
+            kept[id(pop())] = types[-1]
         elif isinstance(node, IntLit):
             types.append(INT)
         elif isinstance(node, RatLit):
@@ -551,7 +554,8 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
         elif isinstance(node, Var):
             types.append(node.ty)
         elif isinstance(node, Const):
-            types.append(node.ty if (node.symbol, node.ty) in _CONSTANTS else None)
+            known = (node.symbol, node.ty) in _CONSTANTS or literal_value(node) is not None
+            types.append(node.ty if known else None)
         elif isinstance(node, Quote):
             types.append(SYNTAX)
         else:
@@ -559,8 +563,8 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
     return types[0]
 
 
-_APPLY = object()  # on infer_type's work stack, above an application's operands
-_ABSTRACT = object()  # above an abstraction's body, with its variable type under it
+_APPLY = object()  # on infer_type's work stack, above an application's operands and the application
+_ABSTRACT = object()  # above an abstraction's body, its variable type and the abstraction
 
 
 # ---------------------------------------------------------------------------

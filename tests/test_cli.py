@@ -258,9 +258,7 @@ def test_check_json_format(capsys):
 
 def test_check_counterexample_exits_4(capsys, monkeypatch):
     def rigged(cfg: GenConfig) -> Report:
-        tally = BranchTally("rigged-law")
-        tally.record(False, lambda: "forced counterexample")
-        return Report("factor", cfg.seed, [tally])
+        return Report("factor", cfg.seed, (BranchTally("rigged-law", 1, 1, "forced counterexample"),))
 
     monkeypatch.setitem(harness.CHECKS, "factor", rigged)
     code, out, _ = run(capsys, "check", "factor")

@@ -60,7 +60,9 @@ from microcas.harness import GenConfig, draw_diff_expr, draw_non_member
 from microcas.parser import parse
 from microcas.polynomials import Poly
 from microcas.printing import to_infix
-from microcas.terms import RAT, App, Arrow, Const, IntLit, REAL, Var, literal_value, match_binary, match_unary, same_term
+from microcas.terms import (
+    RAT, App, Arrow, Const, IntLit, REAL, Var, infer_type, literal_value, match_binary, match_unary, same_term,
+)
 
 
 def dx(src: str):
@@ -478,6 +480,7 @@ def test_shared_sin_ladder_is_walked_once_per_node():
     member = is_diff_expr(f)
     d = diff(f)
     progs = [compile_real(t) for t in (f, simplify(f), d, simplify(d))]
+    typed = infer_type(f)
     elapsed = time.monotonic() - t0
     # Forward mode along the ladder at x = 2, where f tends to pi/2 and
     # each level's factor sin(f) + f cos(f) to 1.
@@ -486,6 +489,7 @@ def test_shared_sin_ladder_is_walked_once_per_node():
         v, dv = math.sin(v) * v, (math.cos(v) * v + math.sin(v)) * dv
     f_at, sf_at, d_at, sd_at = (p(2.0) for p in progs)
     assert member
+    assert typed is REAL
     assert f_at == sf_at == pytest.approx(v, rel=1e-12)
     assert d_at == sd_at == pytest.approx(dv, rel=1e-9)
     assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget:.0f}s budget"
@@ -605,7 +609,7 @@ def test_check_spec_diff_reports():
     assert rep.ok
     assert rep.checked == 4
     assert rep.skipped == 0
-    assert rep.violations == []
+    assert rep.violations == ()
     rep2 = check_spec_diff(dx("ln(x)"), [-1.0, 1.0, 2.0])
     assert rep2.ok
     assert rep2.checked == 2

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from microcas import harness
 from microcas.cli import main
 from microcas.harness import (
     CHECKS,
     BranchTally,
     GenConfig,
-    Report,
     _run,
     check_all,
     draw_diff_expr,
@@ -90,27 +90,38 @@ def test_non_members_stay_outside():
             assert not gate(draw_non_member(rng, target))
 
 
-def test_branch_tally_records_failures_and_first_witness():
-    tally = BranchTally("demo")
-    tally.record(True, lambda: "never built")
-    tally.record(False, lambda: "witness-1")
-    tally.record(False, lambda: "witness-2")
-    assert tally.cases == 3
-    assert tally.failures == 2
-    assert tally.first_counterexample == "witness-1"
+def _scripted(*verdicts):
+    """A cases generator that yields the given (branch, ok) verdicts,
+    the i-th with the witness IntLit(i) and the suffix " #i"."""
+
+    def cases(rng):
+        for i, (branch, ok) in enumerate(verdicts):
+            yield branch, ok, IntLit(i), f" #{i}"
+
+    return cases
+
+
+def test_branch_tally_records_failures_and_first_witness(monkeypatch):
+    printed = []
+
+    def counting(t):
+        printed.append(t)
+        return to_sexpr(t)
+
+    monkeypatch.setattr(harness, "to_sexpr", counting)
+    verdicts = _scripted(("demo", True), ("demo", False), ("other", True), ("demo", False))
+    report = _run("demo", GenConfig(seed=0), ("demo", "other"), verdicts)
+    assert report.branches == (BranchTally("demo", 3, 2, "(int 1) #1"), BranchTally("other", 1, 0, None))
+    assert printed == [IntLit(1)]  # the witness is built once, at the branch's first failure
 
 
 def test_report_ok_requires_coverage_and_zero_failures():
-    good = BranchTally("a")
-    good.record(True, lambda: "")
-    empty = BranchTally("b")
-    r = Report("demo", 0, [good, empty])
-    assert not r.ok  # an unexercised branch is not a pass
-    empty.record(True, lambda: "")
-    assert Report("demo", 0, [good, empty]).ok
-    bad = BranchTally("c")
-    bad.record(False, lambda: "boom")
-    assert not Report("demo", 0, [good, bad]).ok
+    def run(*verdicts):
+        return _run("demo", GenConfig(seed=0), ("a", "b"), _scripted(*verdicts))
+
+    assert not run(("a", True)).ok  # an unexercised branch is not a pass
+    assert run(("a", True), ("b", True)).ok
+    assert not run(("a", True), ("b", False)).ok
 
 
 def test_report_render_and_dict_shapes():
@@ -132,12 +143,12 @@ def test_report_render_and_dict_shapes():
 
 
 def test_failing_report_renders_counterexample():
-    t = BranchTally("law")
-    t.record(False, lambda: "the witness")
-    r = Report("demo", 1, [t])
-    out = r.render()
-    assert "FAIL" in out
-    assert "the witness" in out
+    out = _run("demo", GenConfig(seed=1), ("law",), _scripted(("law", False))).render()
+    assert out == (
+        "demo: FAIL  (seed=1)\n"
+        "  law                          1 checked, 1 failed\n"
+        "    first counterexample: (int 0) #0"
+    )
 
 
 def test_runner_fails_a_branch_no_case_reaches():

@@ -49,7 +49,7 @@ from microcas.rational import (
     quasinorm_rat_expr,
     singular_points,
 )
-from microcas.terms import INT, App, Arrow, Const, IntLit, Lambda, RAT, RatLit, Var
+from microcas.terms import INT, App, Arrow, Const, IntLit, Lambda, RAT, RatLit, Var, infer_type
 
 
 def rx(src: str):
@@ -622,9 +622,11 @@ def test_shared_ladder_is_walked_once_per_node():
     prog = compile_rat(t)
     points = (Fraction(1, 6), Fraction(-2), Fraction(0))
     got = [prog(a) for a in points]
+    typed = infer_type(t)
     elapsed = time.monotonic() - t0
     want = Poly([0, 1]) * Poly([1, 1]) ** 60
     assert member
+    assert typed is RAT
     assert value == CanonicalFraction.make(want, ONE)
     assert flat == (want, ONE, [])
     assert normal == (True, False, True)

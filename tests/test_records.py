@@ -31,6 +31,7 @@ import microcas
 from microcas import harness, parse, to_infix, terms
 from microcas.differentiation import (
     X_R,
+    DiffCheckReport,
     DiffViolation,
     DomainPoint,
     DomainReport,
@@ -67,7 +68,6 @@ from microcas.terms import (
     IntLit,
     IntV,
     Lambda,
-    MutableRecord,
     Quote,
     RatLit,
     RatV,
@@ -91,15 +91,8 @@ def _frozen() -> list:
         eval_real(r_sin(X_R), 0.5), compile_real(r_sin(X_R)),
         DiffViolation(0.5, 1.0, None), DomainPoint(0.5, True), domain_sample(r_inv(X_R), -1, 1, 3),
         GenConfig(seed=3, cases=20),
-    ]
-
-
-def _mutable() -> list:
-    """One instance of each record that its builder fills in place."""
-    return [
-        check_spec_diff(r_sin(X_R), [0.25, 0.5]),
-        BranchTally("value-agreement", 2, 1, "(int 1)"),
-        Report("factor", 0, [BranchTally("value-agreement", 1)]),
+        check_spec_diff(r_sin(X_R), [0.25, 0.5]), BranchTally("value-agreement", 2, 1, "(int 1)"),
+        Report("factor", 0, (BranchTally("value-agreement", 1, 0, None),)),
     ]
 
 
@@ -115,23 +108,27 @@ def _record_classes() -> set:
             todo.append(cls)
             if cls.__module__.startswith("microcas."):
                 found.add(cls)
-    return found - {MutableRecord, terms._Type, terms._Term, terms._Tree}
+    return found - {terms._Type, terms._Term, terms._Tree}
 
 
 def test_every_class_is_covered_and_has_no_instance_dict():
-    frozen, mutable = _frozen(), _mutable()
-    objs = frozen + mutable
+    objs = _frozen()
     assert len({type(o) for o in objs}) == len(objs)
     assert {type(o) for o in objs} == _record_classes()
-    assert not any(isinstance(o, MutableRecord) for o in frozen)
-    assert all(isinstance(o, MutableRecord) for o in mutable)
+    assert not hasattr(terms, "MutableRecord")
+    for cls in _record_classes():  # every record is frozen
+        assert cls.__setattr__ is Record.__setattr__ and cls.__delattr__ is Record.__delattr__, cls.__name__
+        assert cls.__hash__ is not None, cls.__name__
     for obj in objs:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 # The records that take their fields as they are, through Record's own
 # constructor.
-_PLAIN = [IntV, RatV, FracV, FnQQ, TermV, RealResult, RealProgram, RatProgram, DiffViolation, DomainReport]
+_PLAIN = [
+    IntV, RatV, FracV, FnQQ, TermV, RealResult, RealProgram, RatProgram, DiffViolation, DomainReport,
+    DiffCheckReport, BranchTally, Report,
+]
 
 
 @pytest.mark.parametrize("cls", _PLAIN, ids=lambda c: c.__name__)
@@ -186,30 +183,19 @@ def test_fields_cannot_be_assigned_or_deleted(obj):
         obj.extra = 1
 
 
-@pytest.mark.parametrize("obj", _mutable(), ids=lambda o: type(o).__name__)
-def test_mutable_records_take_their_fields_only_and_have_no_hash(obj):
-    name = type(obj)._fields[0]
-    setattr(obj, name, getattr(obj, name))
-    with pytest.raises(AttributeError):
-        obj.extra = 1
-    with pytest.raises(TypeError):
-        hash(obj)
-
-
-@pytest.mark.parametrize("obj", _frozen() + _mutable(), ids=lambda o: type(o).__name__)
+@pytest.mark.parametrize("obj", _frozen(), ids=lambda o: type(o).__name__)
 def test_copies_and_pickles_are_equal(obj):
     for other in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(other) is type(obj)
         assert other == obj and obj == other and not other != obj
-        if type(obj).__hash__ is not None:
-            assert hash(other) == hash(obj)
+        assert hash(other) == hash(obj)
 
 
 _OWN_REPR = (BaseType, Arrow, IntLit, RatLit, Var, Const, App, Lambda, Quote)
 
 
 @pytest.mark.parametrize(
-    "obj", [o for o in _frozen() + _mutable() if not isinstance(o, _OWN_REPR)], ids=lambda o: type(o).__name__
+    "obj", [o for o in _frozen() if not isinstance(o, _OWN_REPR)], ids=lambda o: type(o).__name__
 )
 def test_the_repr_is_a_dataclass_repr(obj):
     names = type(obj)._fields
@@ -223,7 +209,7 @@ def test_reprs_read_as_before():
     assert repr(GenConfig(seed=3)) == "GenConfig(seed=3, max_depth=6, coeff_bound=12, cases=500)"
     assert repr(factor_int(-360)) == "PrimeFactorization(sign=-1, factors=((2, 3), (3, 2), (5, 1)))"
     assert repr(DomainPoint(0.5, True)) == "DomainPoint(point=0.5, defined=True)"
-    assert repr(BranchTally("b")) == "BranchTally(name='b', cases=0, failures=0, first_counterexample=None)"
+    assert repr(BranchTally("b", 0, 0, None)) == "BranchTally(name='b', cases=0, failures=0, first_counterexample=None)"
     assert repr(FnQQ(Lambda("x", RAT, X_Q))) == "FnQQ(term=(lam x rat (var x rat)))"
     assert repr(Arrow(RAT, Arrow(INT, INT))) == "(rat -> (int -> int))" and repr(INT) == "int"
 
@@ -336,9 +322,13 @@ def test_deep_terms_copy_and_pickle_without_recursion():
     depth = 3000
     assert depth > sys.getrecursionlimit()
     for t in _nests(depth, q_lit(1)):
-        for other in _copies(t):
+        assert copy.copy(t) is t  # a term is immutable
+        for other in _copies(t)[1:]:
             assert type(other) is type(t) and other is not t
             assert other == t and hash(other) == hash(t)
+    for t in _frozen():
+        if isinstance(t, terms._Term):
+            assert copy.copy(t) is t, type(t).__name__
     right = _nests(depth, q_lit(1))[0]
     assert pickle.loads(pickle.dumps(right)).fun.fun is ADD_Q
 

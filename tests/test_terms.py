@@ -19,6 +19,7 @@ import pytest
 import microcas
 from microcas.differentiation import X_R, is_diff_expr, r_add, r_lit, r_pow, r_sin
 from microcas.factoring import ADD_I, i_add, i_mul, i_neg, i_pow
+from microcas.parser import parse
 from microcas.printing import to_infix, to_sexpr
 from microcas.rational import (
     ADD_Q, INV_Q, MUL_Q, NEG_Q, X_Q, frac_value, is_rat_expr, q_add, q_inv, q_lit, q_mul, q_neg,
@@ -69,6 +70,13 @@ def test_literal_and_variable_typing():
     assert infer_type(Var("x", RAT)) == RAT
     assert infer_type(Var("x", REAL)) == REAL
     assert infer_type(Quote(IntLit(1))) == SYNTAX
+    # A real literal is REAL where its text reads as a rational.
+    assert infer_type(Const("3/2", REAL)) is REAL
+    assert infer_type(parse("sin(x) + 1", "diffexpr")) is REAL
+    assert infer_type(parse("sin(x)", "diffexpr")) is REAL
+    assert infer_type(Const("pi", REAL)) is None
+    assert infer_type(App(Const("pi", REAL), Var("x", REAL))) is None
+    assert infer_type(Const("frob", Arrow(REAL, REAL))) is None
 
 
 def test_same_name_different_type_are_distinct_variables():
