@@ -5,8 +5,9 @@ language (seeds 0-4, depths 6 and 7), the nested sin/exp ladder of the
 benchmark's ``large`` workload, hand-picked powers, literals and
 logarithms, and hand-built negations of negations that the simplifier
 has to collapse.  For each input the outcome is a
-short digest of ``to_sexpr(diff(t))`` and of ``to_sexpr(simplify(t))``,
-and each must be the one recorded in tests/data/diff_outputs.json.
+short digest of ``to_sexpr`` and of ``to_json`` of the input, of
+``diff(t)`` and of ``simplify(t)``, and each must be the one recorded in
+tests/data/diff_outputs.json.
 Simplification must also be idempotent on every input.
 
 Regenerate the file (only when an output change is intended) with
@@ -35,7 +36,7 @@ from microcas.differentiation import (
 )
 from microcas.harness import GenConfig, draw_diff_expr
 from microcas.parser import parse
-from microcas.printing import to_sexpr
+from microcas.printing import to_json, to_sexpr
 
 RECORDED = Path(__file__).parent / "data" / "diff_outputs.json"
 
@@ -92,8 +93,10 @@ def _digest(s: str) -> str:
 
 
 def outcome(t) -> list[str]:
-    d = diff(t)
-    return [_digest(to_sexpr(t)), "None" if d is None else _digest(to_sexpr(d)), _digest(to_sexpr(simplify(t)))]
+    """The digests of the input, its derivative and its simplified form,
+    in s-expression and then in JSON form ("None" for no derivative)."""
+    terms = (t, diff(t), simplify(t))
+    return ["None" if u is None else _digest(write(u)) for write in (to_sexpr, to_json) for u in terms]
 
 
 @pytest.fixture(scope="module")
