@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _OWNERS = {
-    "terms": ("App", "Arrow", "Const", "IntLit", "Lambda", "Quote", "RatLit", "SynTerm", "Var",
+    "terms": ("App", "Arrow", "Const", "IntLit", "Lambda", "Quote", "RatLit", "RealLit", "SynTerm", "Var",
               "eval_as", "infer_type", "quote"),
     "polynomials": ("Poly",),
     "factoring": ("PrimeFactorization", "factor", "factor_int", "remult"),

@@ -40,14 +40,13 @@ from .terms import (
     MUL_R,
     NEG_R,
     POW_R,
-    REAL,
     SIN_R,
     SUB_R,
     TAN_R,
     X_R,
     App,
-    Const,
     NotInLanguage,
+    RealLit,
     Record,
     Steps,
     SynTerm,
@@ -62,10 +61,11 @@ from .terms import (
 def _leaf_value(t: SynTerm) -> Optional[Fraction]:
     """The exact value of a leaf of the language: a literal's value, or
     None for x.  Any other node raises NotInLanguage."""
-    c = literal_value(t) if type(t) is Const else None
-    if c is None and t != X_R:
+    if type(t) is RealLit:
+        return t.value
+    if t is not X_R:
         raise NotInLanguage("not in the differentiable language")
-    return c
+    return None
 
 
 def _signed_lit(t: SynTerm) -> Optional[Fraction]:
@@ -531,35 +531,35 @@ def compile_real(t: SynTerm) -> Optional[RealProgram]:
     the differentiable language (exactly when is_diff_expr(t) is
     false).
 
-    The leaf gives x register 0 and each distinct literal, read once,
-    the next free register; the operator entries emit steps through
-    ``Steps``, numbered by value, so a step whose (op, i, j) triple
-    already exists reuses its register.  A power reads its exponent's
-    exact value from the leaf's side table of literal registers, and
-    hands back the register when the leaf has just made it for the
-    exponent alone, so a literal used only as an exponent takes none.
+    The leaf gives x register 0 and each distinct literal value, keyed
+    by its numerator and denominator, the next free register; the
+    operator entries emit steps through ``Steps``, numbered by value,
+    so a step whose (op, i, j) triple already exists reuses its
+    register.  A power reads its exponent's exact value from the leaf's
+    side table of literal registers, and hands back the register when
+    the leaf has just made it for the exponent alone, so a literal used
+    only as an exponent takes none.
     Like every fold, the pass is iterative, reads copies of registered
     constants and lowers each distinct node once.
     """
-    literals: dict[str, int] = {}  # each literal's text to its operand id
+    literals: dict[tuple[int, int], int] = {}  # each literal value's (numerator, denominator) to its operand id
     values: dict[int, Fraction] = {}  # each literal's operand id, in order, to its value
-    made: Optional[str] = None  # the literal that the last literal leaf registered
+    made: Optional[tuple[int, int]] = None  # the literal that the last literal leaf registered
     uses_x = False
 
     def leaf(node: SynTerm) -> int:
         nonlocal made, uses_x
-        if type(node) is Const and node.ty is REAL:
+        if type(node) is RealLit:
+            c = node.value
+            key = c.numerator, c.denominator
             made = None
-            k = literals.get(node.symbol)
+            k = literals.get(key)
             if k is None:
-                c = literal_value(node)
-                if c is None:
-                    raise NotInLanguage("not in the differentiable language")
-                made = node.symbol
-                k = literals[made] = ~(len(values) + 1)
+                made = key
+                k = literals[key] = ~(len(values) + 1)
                 values[k] = c
             return k
-        if node == X_R:
+        if node is X_R:
             uses_x = True
             return -1
         raise NotInLanguage("not in the differentiable language")

@@ -68,13 +68,13 @@ from .terms import (
     Lambda,
     Quote,
     RatLit,
+    RealLit,
     SynTerm,
     Var,
     literal_value,
     match_binary,
     match_unary,
     op_table,
-    type_name,
 )
 
 _ATOM = 5
@@ -296,12 +296,14 @@ def _sexpr(t: SynTerm, memo: dict) -> Layout:
         return 0, [f"(int {t.value})"]
     if isinstance(t, RatLit):
         return 0, [f"(rat {t.value})"]
+    if isinstance(t, RealLit):
+        return 0, [f"(const {t.value} real)"]
     if isinstance(t, Var):
-        return 0, [f"(var {t.name} {type_name(t.ty)})"]
+        return 0, [f"(var {t.name} {t.ty})"]
     if isinstance(t, Const):
-        return 0, [f"(const {t.symbol} {type_name(t.ty)})"]
+        return 0, [f"(const {t.symbol} {t.ty})"]
     if isinstance(t, Lambda):
-        return 0, [f"(lam {t.var} {type_name(t.var_ty)} ", (t.body, 0), ")"]
+        return 0, [f"(lam {t.var} {t.var_ty} ", (t.body, 0), ")"]
     if isinstance(t, Quote):
         return 0, ["(quote ", (t.term, 0), ")"]
     raise ValueError(f"not a syntax tree: {t!r}")
@@ -323,12 +325,14 @@ def _json(t: SynTerm, s: Callable[[str], str]) -> Layout:
         return 0, [f'{{"node": "int", "value": {s(str(t.value))}}}']
     if isinstance(t, RatLit):
         return 0, [f'{{"node": "rat", "value": {s(str(t.value))}}}']
+    if isinstance(t, RealLit):
+        return 0, [f'{{"node": "const", "symbol": {s(str(t.value))}, "type": "real"}}']
     if isinstance(t, Var):
-        return 0, [f'{{"name": {s(t.name)}, "node": "var", "type": {s(type_name(t.ty))}}}']
+        return 0, [f'{{"name": {s(t.name)}, "node": "var", "type": {s(str(t.ty))}}}']
     if isinstance(t, Const):
-        return 0, [f'{{"node": "const", "symbol": {s(t.symbol)}, "type": {s(type_name(t.ty))}}}']
+        return 0, [f'{{"node": "const", "symbol": {s(t.symbol)}, "type": {s(str(t.ty))}}}']
     if isinstance(t, Lambda):
-        tail = f', "node": "lam", "var": {s(t.var)}, "var_type": {s(type_name(t.var_ty))}}}'
+        tail = f', "node": "lam", "var": {s(t.var)}, "var_type": {s(str(t.var_ty))}}}'
         return 0, ['{"body": ', (t.body, 0), tail]
     if isinstance(t, Quote):
         return 0, ['{"node": "quote", "term": ', (t.term, 0), "}"]

@@ -10,10 +10,12 @@ rational functions, and terms-as-data.
 Types, terms and values, and the records of the other modules (the
 contract reports among them), are ``Record`` classes: plain
 ``__slots__`` classes whose fields are set once, when the value is
-built.  Each type and each registered operator constant is
-one object, which its constructor, copies and pickles return, so ``==``
-and ``hash`` on it are identity.  The other terms compare structurally,
-on explicit stacks, and a composite term keeps its hash once computed.
+built.  Each type, variable and constant is one object, which its
+constructor, copies and pickles return, so ``==`` and ``hash`` on it
+are identity.  A literal (``IntLit``, ``RatLit``, ``RealLit``) holds its
+exact value, read once when the node is built, and compares by class
+and value.  The other terms compare structurally, on explicit stacks,
+and a composite term keeps its hash once computed.
 
 ``quote`` wraps a term so it can be handled as data of type SYNTAX.
 ``eval_as`` goes the other way: given a quotation and a target type it
@@ -24,22 +26,22 @@ so every term is trivially evaluation-free.
 
 The one signature of the term languages is declared here: every typed
 operator constant of the integer, rational and real languages, the
-variable x of each expression language, and the literals of the real
-language with ``literal_value``, the one reader of a literal of any
-language.  The evaluator of each type but SYNTAX is registered by the
-module that owns it (factoring the integers; rational the rationals,
-the field of fractions and the rational functions), and ``eval_as``
-loads that module the first time a term is read at the type, so
-nothing needs importing beforehand.  Membership tests, exact values
-and the lowerings to straight-line code (with ``Steps``) are computed
-bottom-up with ``fold``, the one walk with the one strictness rule: an
-undefined operand makes its whole term undefined.
+variable x of each expression language, and the literal classes with
+``literal_value``, the one reader of a literal of any language.  The
+evaluator of each type but SYNTAX is registered by the module that
+owns it (factoring the integers; rational the rationals, the field of
+fractions and the rational functions), and ``eval_as`` loads that
+module the first time a term is read at the type, so nothing needs
+importing beforehand.  Membership tests, exact values and the
+lowerings to straight-line code (with ``Steps``) are computed bottom-up
+with ``fold``, the one walk with the one strictness rule: an undefined
+operand makes its whole term undefined.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from importlib import import_module
 from sys import getrefcount
 from typing import Callable, Optional, Union
@@ -102,31 +104,33 @@ class Record:
         return type(self), self._values()
 
 
-# ---------------------------------------------------------------------------
-# semantic types
-
-
-class _Type(Record):
-    """Base of the semantic types: one object per type, so ``==`` and
-    ``hash`` are identity.  The constructor returns the one object of its
-    fields, and ``copy``, ``deepcopy`` and ``pickle`` go through it."""
+class _Interned(Record):
+    """Base of the types, variables and constants: one object per class
+    and fields, so ``==`` and ``hash`` are identity.  The constructor
+    returns the one object of its fields, and ``copy``, ``deepcopy`` and
+    ``pickle`` go through it.  The table keeps every object built; the
+    signature's are built at import, so it costs nothing at run time."""
 
     __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     __init__ = object.__init__  # __new__ sets the fields
-    _made: dict[tuple, _Type] = {}  # every type built, by its class and fields
+    _made: dict[tuple, _Interned] = {}  # every object built, by its class and fields
 
     def __new__(cls, *values):
-        ty = cls._made.get((cls, values))
-        if ty is None:
-            ty = object.__new__(cls)
-            Record.__init__(ty, *values)
-            ty = cls._made.setdefault((cls, values), ty)  # one winner if threads race
-        return ty
+        obj = cls._made.get((cls, values))
+        if obj is None:
+            obj = object.__new__(cls)
+            Record.__init__(obj, *values)
+            obj = cls._made.setdefault((cls, values), obj)  # one winner if threads race
+        return obj
 
 
-class BaseType(_Type):
+# ---------------------------------------------------------------------------
+# semantic types
+
+
+class BaseType(_Interned):
     __slots__ = ("name",)
 
     def __str__(self) -> str:
@@ -135,7 +139,7 @@ class BaseType(_Type):
     __repr__ = __str__
 
 
-class Arrow(_Type):
+class Arrow(_Interned):
     __slots__ = ("dom", "cod")
 
     def __str__(self) -> str:
@@ -151,10 +155,6 @@ RAT = BaseType("rat")  # exact rationals
 FRAC = BaseType("frac")  # field of fractions of polynomials over the rationals
 REAL = BaseType("real")  # reals (evaluated pointwise, never as a Value)
 SYNTAX = BaseType("syntax")  # terms as data
-
-
-def type_name(ty: SemType) -> str:
-    return str(ty)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +236,19 @@ class _Tree(_Term):
         return _rebuild, (table,)
 
 
-class IntLit(_Term):
-    __slots__ = ("value",)
+class _Literal(_Term):
+    """Base of the literal classes, whose one field is the exact value,
+    read when the node is built: two literals are equal when their
+    classes and values are.  A rational or real literal's value is a
+    Fraction."""
 
-    def __init__(self, value: int) -> None:
-        _set(self, "value", value)
-
-    def __eq__(self, other: object):
-        if type(other) is not IntLit:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
-
-class RatLit(_Term):
-    __slots__ = ("value",)
+    __slots__ = ()
 
     def __init__(self, value: Fraction) -> None:
         _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
 
     def __eq__(self, other: object):
-        if type(other) is not RatLit:
+        if type(other) is not type(self):
             return NotImplemented
         return self.value == other.value
 
@@ -266,50 +256,38 @@ class RatLit(_Term):
         return hash((self.value,))
 
 
-class Var(_Term):
+class IntLit(_Literal):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
+
+
+class RatLit(_Literal):
+    __slots__ = ("value",)
+
+
+class RealLit(_Literal):
+    """A rational constant of the real language."""
+
+    __slots__ = ("value",)
+
+
+class Var(_Term, _Interned):
     __slots__ = ("name", "ty")
 
-    def __init__(self, name: str, ty: SemType) -> None:
+    def __new__(cls, name: str, ty: SemType) -> Var:
         if not name:
             raise ValueError("variable name must be nonempty")
-        _set(self, "name", name)
-        _set(self, "ty", ty)
-
-    def __eq__(self, other: object):
-        if type(other) is not Var:
-            return NotImplemented
-        return self.name == other.name and self.ty == other.ty
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.ty))
+        return _Interned.__new__(cls, name, ty)
 
 
-class Const(_Term):
-    """An operator constant or a literal of the real language.  The
-    constructor returns the one node of a registered constant, so folds
-    match operators by identity; any other constant is a new node."""
+class Const(_Term, _Interned):
+    """A symbol of the signature: an operator constant, typed by
+    ``infer_type`` only when it is registered.  Folds match operators by
+    identity."""
 
     __slots__ = ("symbol", "ty")
-    __init__ = object.__init__  # __new__ sets the fields
-
-    def __new__(cls, symbol: str, ty: SemType) -> Const:
-        return _CONSTANTS.get((symbol, ty)) or _const(symbol, ty)
-
-    def __eq__(self, other: object):
-        if type(other) is not Const:
-            return NotImplemented
-        return self is other or (self.symbol == other.symbol and self.ty == other.ty)
-
-    def __hash__(self) -> int:
-        return hash((self.symbol, self.ty))
-
-
-def _const(symbol: str, ty: SemType) -> Const:
-    """A new constant node, not looked up in the registry."""
-    c = object.__new__(Const)
-    _set(c, "symbol", symbol)
-    _set(c, "ty", ty)
-    return c
 
 
 class App(_Tree):
@@ -339,7 +317,7 @@ class Quote(_Tree):
         _set(self, "term", term)
 
 
-SynTerm = Union[IntLit, RatLit, Var, Const, App, Lambda, Quote]
+SynTerm = Union[IntLit, RatLit, RealLit, Var, Const, App, Lambda, Quote]
 _TREES = (App, Lambda, Quote)  # the term classes whose fields hold terms
 
 
@@ -404,9 +382,9 @@ _EVALUATORS: dict[SemType, Callable[[SynTerm], Optional[Value]]] = {}
 
 
 def register_constant(symbol: str, ty: SemType) -> Const:
-    """Register a constant and return its node: the one node that
-    ``Const(symbol, ty)``, this function, and every copy and pickle of it
-    return from now on, so folds can match it by identity."""
+    """Add a constant to the signature, so ``infer_type`` types it, and
+    return its node: the one node that ``Const(symbol, ty)`` and every
+    copy and pickle of it return."""
     return _CONSTANTS.setdefault((symbol, ty), Const(symbol, ty))
 
 
@@ -468,37 +446,22 @@ X_Q = Var("x", RAT)
 X_R = Var("x", REAL)
 
 
-def r_lit(c: Fraction | int) -> SynTerm:
-    """Rational constants of the real language are Const nodes whose
-    symbol is the exact value's text, the text of ``Fraction(c)``; no
-    registered constant has type REAL, so none is looked up."""
-    return _const(str(c) if type(c) is int or type(c) is Fraction else str(Fraction(c)), REAL)
+def r_lit(c: Fraction | int) -> RealLit:
+    """The rational constant c of the real language, its value
+    ``Fraction(c)``."""
+    return RealLit(c)
 
 
 def literal_value(t: SynTerm) -> Optional[Fraction]:
     """The exact value of a literal of any of the languages (an integer
     literal, a rational literal, or a rational constant of the real
-    language), else None."""
-    if type(t) is Const:
-        return _read_literal(t.symbol) if t.ty is REAL else None
+    language) as a Fraction, else None.  Each literal holds its value,
+    so nothing is parsed here."""
+    if type(t) is RealLit or type(t) is RatLit:
+        return t.value
     if type(t) is IntLit:
         return Fraction(t.value)
-    if type(t) is RatLit:
-        return t.value
     return None
-
-
-@lru_cache(maxsize=4096)
-def _read_literal(symbol: str) -> Optional[Fraction]:
-    """The value of a real literal's text, or None where Fraction cannot
-    read it (a ValueError, which includes text past the int/str digit
-    limit).  Cached by text, so the rewrite, the lowering and the printer
-    parse each literal once; ROADMAP item 4 (the value read when the
-    node is built) replaces it."""
-    try:
-        return Fraction(symbol)
-    except ValueError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +479,8 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
 
     Variables carry their own types (two variables with the same name
     but different types are simply different variables), so no
-    environment is needed and open terms type fine.  A real literal is
-    REAL when ``literal_value`` reads it.  Every distinct node outside a
+    environment is needed and open terms type fine.  A constant has its
+    type only when it is registered.  Every distinct node outside a
     quotation is visited, on an explicit stack, so a node that is not a
     term raises TypeError wherever it sits and depth is bounded by
     memory only.  The type of each application and abstraction is kept
@@ -551,11 +514,12 @@ def infer_type(t: SynTerm) -> Optional[SemType]:
             types.append(INT)
         elif isinstance(node, RatLit):
             types.append(RAT)
+        elif isinstance(node, RealLit):
+            types.append(REAL)
         elif isinstance(node, Var):
             types.append(node.ty)
         elif isinstance(node, Const):
-            known = (node.symbol, node.ty) in _CONSTANTS or literal_value(node) is not None
-            types.append(node.ty if known else None)
+            types.append(node.ty if (node.symbol, node.ty) in _CONSTANTS else None)
         elif isinstance(node, Quote):
             types.append(SYNTAX)
         else:

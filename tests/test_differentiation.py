@@ -61,7 +61,8 @@ from microcas.parser import parse
 from microcas.polynomials import Poly
 from microcas.printing import to_infix
 from microcas.terms import (
-    RAT, App, Arrow, Const, IntLit, REAL, Var, infer_type, literal_value, match_binary, match_unary, same_term,
+    RAT, App, Arrow, Const, IntLit, REAL, RealLit, Var, infer_type, literal_value, match_binary, match_unary,
+    same_term,
 )
 
 
@@ -642,9 +643,9 @@ def _reference(t, a: float, memo: dict) -> Optional[float]:
 def _reference_node(t, a: float, memo: dict) -> Optional[float]:
     if t == X_R:
         v = a
-    elif isinstance(t, Const):
+    elif isinstance(t, RealLit):
         try:
-            v = float(Fraction(t.symbol))
+            v = float(t.value)
         except OverflowError:
             return None
     else:
@@ -658,7 +659,7 @@ def _reference_node(t, a: float, memo: dict) -> Optional[float]:
                 return v if math.isfinite(v) else None
         parts = match_binary(t, POW_R)
         if parts is not None:
-            return _reference_pow(_reference(parts[0], a, memo), Fraction(parts[1].symbol))
+            return _reference_pow(_reference(parts[0], a, memo), parts[1].value)
         for op in (NEG_R, INV_R, EXP_R, LN_R, SIN_R, COS_R, TAN_R):
             arg = match_unary(t, op)
             if arg is not None:

@@ -123,7 +123,7 @@ out.update(bare=bare, names=names, star=sorted(set(ns) - {'__builtins__'}), all=
            dir=dir(microcas))
 """)
     assert doc["bare"] == ["microcas"]
-    assert doc["names"] == doc["all"] and len(doc["all"]) == 46
+    assert doc["names"] == doc["all"] and len(doc["all"]) == 47
     assert doc["star"] == sorted(doc["all"])
     assert set(doc["all"]) <= set(doc["dir"])
 

@@ -4,8 +4,8 @@ Each is a plain ``__slots__`` class.  Its fields are set once; two
 instances of one class are equal when their fields are, and equal ones
 hash alike; the repr is the one a dataclass with the same fields prints
 (terms and types print their own); copies and pickles are rebuilt
-through the constructor.  A type and a registered operator constant are
-one object each, which copies and pickles return.  ``==``, ``hash``,
+through the constructor.  A type, a variable and a constant are one
+object each, which copies and pickles return.  ``==``, ``hash``,
 copies and pickles of terms run on explicit stacks, so a term's depth is
 bounded by memory only.
 """
@@ -24,11 +24,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import microcas
-from microcas import harness, parse, to_infix, terms
+from microcas import harness, parse, terms, to_infix, to_json, to_sexpr
 from microcas.differentiation import (
     X_R,
     DiffCheckReport,
@@ -71,9 +71,11 @@ from microcas.terms import (
     Quote,
     RatLit,
     RatV,
+    RealLit,
     Record,
     TermV,
     Var,
+    literal_value,
     quote,
 )
 
@@ -83,7 +85,8 @@ _F = Lambda("x", RAT, q_inv(q_add(X_Q, q_lit(1))))
 def _frozen() -> list:
     """One instance of each immutable class."""
     return [
-        IntLit(3), RatLit(Fraction(1, 2)), Var("x", RAT), Const("+", Arrow(RAT, Arrow(RAT, RAT))),
+        IntLit(3), RatLit(Fraction(1, 2)), RealLit(Fraction(3, 2)), Var("x", RAT),
+        Const("+", Arrow(RAT, Arrow(RAT, RAT))),
         q_add(X_Q, q_lit(1)), _F, Quote(X_Q),
         INT, Arrow(RAT, RAT),
         IntV(3), RatV(Fraction(1, 2)), FracV(frac_value(q_inv(X_Q))), FnQQ(_F), TermV(IntLit(2)),
@@ -108,7 +111,7 @@ def _record_classes() -> set:
             todo.append(cls)
             if cls.__module__.startswith("microcas."):
                 found.add(cls)
-    return found - {terms._Type, terms._Term, terms._Tree}
+    return found - {terms._Interned, terms._Term, terms._Literal, terms._Tree}
 
 
 def test_every_class_is_covered_and_has_no_instance_dict():
@@ -162,12 +165,30 @@ def test_types_and_registered_constants_are_one_object_each():
             assert pickle.loads(pickle.dumps(obj, protocol)) is obj, (obj, protocol)
 
 
-def test_no_registered_constant_is_real():
-    # r_lit builds its node without a registry lookup, which is right
-    # only while no constant of type REAL is registered.
+@settings(max_examples=100, deadline=None)
+@given(st.text(min_size=1, max_size=3), st.sampled_from([INT, RAT, REAL, SYNTAX, Arrow(REAL, REAL)]))
+def test_every_constant_and_variable_is_one_object(name, ty):
+    for make in (Var, Const):
+        obj = make(name, ty)
+        assert make(name, ty) is obj and obj == make(name, ty) and hash(obj) == object.__hash__(obj)
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj, (obj, protocol)
+    assert Var(name, ty) != Const(name, ty)
+
+
+def test_constants_and_variables_compare_by_identity_alone():
+    for cls in (Var, Const):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    for gone in ("_const", "_read_literal", "type_name", "_Type"):
+        assert not hasattr(terms, gone), gone
+    made = len(terms._Interned._made)
+    with pytest.raises(ValueError):
+        Var("", RAT)
+    assert len(terms._Interned._made) == made
+    # A real literal is a RealLit, and no registered constant is REAL.
+    assert type(r_lit(2)) is RealLit and r_lit(2) == r_lit(Fraction(2)) and r_lit(2) != IntLit(2)
     assert all(c.ty is not REAL for c in terms._CONSTANTS.values())
-    assert r_lit(2) is not r_lit(2) and r_lit(2) == r_lit(2)
-    assert Const("pi", REAL) is not Const("pi", REAL) and Const("pi", REAL) == Const("pi", REAL)
 
 
 @pytest.mark.parametrize("obj", _frozen(), ids=lambda o: type(o).__name__)
@@ -191,7 +212,7 @@ def test_copies_and_pickles_are_equal(obj):
         assert hash(other) == hash(obj)
 
 
-_OWN_REPR = (BaseType, Arrow, IntLit, RatLit, Var, Const, App, Lambda, Quote)
+_OWN_REPR = (BaseType, Arrow, IntLit, RatLit, RealLit, Var, Const, App, Lambda, Quote)
 
 
 @pytest.mark.parametrize(
@@ -294,7 +315,8 @@ def test_hashes_are_the_hashes_of_the_fields():
     t = q_add(X_Q, q_lit(1))
     assert hash(t) == hash((t.fun, t.arg))
     assert hash(_F) == hash(("x", RAT, _F.body))
-    assert hash(IntLit(3)) == hash((3,)) and hash(Var("x", RAT)) == hash(("x", RAT))
+    x = Var("x", RAT)
+    assert hash(IntLit(3)) == hash((3,)) and hash(x) == object.__hash__(x)
     assert hash(IntV(3)) == hash((3,)) and hash(GenConfig(seed=1)) == hash((1, 6, 12, 500))
 
 
@@ -355,7 +377,7 @@ def test_copies_and_pickles_keep_the_sharing():
 # -- == against a field-by-field comparison written here ---------------------
 
 _FIELDS = {
-    IntLit: ("value",), RatLit: ("value",), Var: ("name", "ty"), Const: ("symbol", "ty"),
+    IntLit: ("value",), RatLit: ("value",), RealLit: ("value",), Var: ("name", "ty"), Const: ("symbol", "ty"),
     App: ("fun", "arg"), Lambda: ("var", "var_ty", "body"), Quote: ("term",),
     BaseType: ("name",), Arrow: ("dom", "cod"),
 }
@@ -383,7 +405,7 @@ def _same_fields(a, b) -> bool:
 def _other_leaf(u, delta: int):
     """A new leaf: equal to u when delta is 0, else differing from it in
     one field."""
-    if type(u) in (IntLit, RatLit):
+    if type(u) in (IntLit, RatLit, RealLit):
         return type(u)(u.value + delta)
     name = u.name if type(u) is Var else u.symbol
     if delta > 0:
@@ -445,7 +467,21 @@ def test_equality_agrees_with_a_field_by_field_comparison(lang, seed, k, delta, 
 def test_a_real_literal_is_the_text_of_its_fraction():
     for c in (0, 1, -1, 7, -12, 10**40, -(10**40), True, False, Fraction(3, 4), Fraction(-6, 8), Fraction(5),
               0.5, -0.25, "3/4"):
-        assert r_lit(c) == Const(str(Fraction(c)), r_lit(1).ty), c
+        assert r_lit(c) == RealLit(Fraction(c)), c
+        assert to_sexpr(r_lit(c)) == f"(const {Fraction(c)} real)", c
+    # A value past the int/str digit limit is kept; only its text fails.
     for c in (10**5000, Fraction(10**5000, 3)):
+        assert literal_value(r_lit(c)) == c
         with pytest.raises(ValueError):
-            r_lit(c)
+            to_sexpr(r_lit(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions())
+def test_a_real_literal_prints_and_reads_as_its_value(c):
+    t = r_lit(c)
+    assert to_sexpr(t) == f"(const {c} real)"
+    assert to_json(t) == f'{{"node": "const", "symbol": "{c}", "type": "real"}}'
+    assert literal_value(t) == c and type(literal_value(t)) is Fraction
+    assume(c >= 0)
+    assert parse(to_infix(t), "diffexpr") == t

@@ -53,15 +53,14 @@ from microcas.terms import (
     quote,
     register_constant,
     same_term,
-    type_name,
 )
 
 
 def test_type_names():
-    assert type_name(INT) == "int"
-    assert type_name(RAT) == "rat"
-    assert type_name(Arrow(RAT, RAT)) == "(rat -> rat)"
-    assert type_name(Arrow(INT, Arrow(INT, INT))) == "(int -> (int -> int))"
+    assert str(INT) == "int"
+    assert str(RAT) == "rat"
+    assert str(Arrow(RAT, RAT)) == "(rat -> rat)"
+    assert str(Arrow(INT, Arrow(INT, INT))) == "(int -> (int -> int))"
 
 
 def test_literal_and_variable_typing():
@@ -70,8 +69,10 @@ def test_literal_and_variable_typing():
     assert infer_type(Var("x", RAT)) == RAT
     assert infer_type(Var("x", REAL)) == REAL
     assert infer_type(Quote(IntLit(1))) == SYNTAX
-    # A real literal is REAL where its text reads as a rational.
-    assert infer_type(Const("3/2", REAL)) is REAL
+    # A real literal is REAL; a constant is typed only when registered,
+    # whatever its symbol reads as.
+    assert infer_type(r_lit(Fraction(3, 2))) is REAL
+    assert infer_type(Const("3/2", REAL)) is None
     assert infer_type(parse("sin(x) + 1", "diffexpr")) is REAL
     assert infer_type(parse("sin(x)", "diffexpr")) is REAL
     assert infer_type(Const("pi", REAL)) is None
