@@ -85,7 +85,11 @@ def _signed_lit(t: SynTerm) -> Optional[Fraction]:
 
 def _emit_lit(c: Fraction) -> SynTerm:
     """Literal for c in the printable discipline: negative values are a
-    negation wrapped around the positive literal."""
+    negation wrapped around the positive literal.  Raises Python's
+    ValueError where c has more decimal digits than it converts to
+    text, as printing it would: a literal folded from others, such as a
+    power of a power, would otherwise grow without bound."""
+    str(c)  # the int/str digit limit, sys.get_int_max_str_digits()
     return r_lit(c) if c >= 0 else r_neg(r_lit(-c))
 
 

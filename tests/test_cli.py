@@ -132,10 +132,11 @@ _HUGE = "7" * 5000  # past the default int/str digit limit of 4300
     [
         ["norm-expr", "2^20000"],  # the output literal
         ["eval", "x^2000", "--at", "1000"],  # the printed value
-        ["diff", "x^20000*2^20000"],  # a real literal, kept as text
+        ["diff", "x^20000*2^20000"],  # a real literal, printed
+        ["diff", "((2^100)^100)^100"],  # a folded literal, never printed
         ["factor", _HUGE],  # the argument itself
     ],
-    ids=["norm-expr", "eval", "diff", "factor"],
+    ids=["norm-expr", "eval", "diff", "diff-folded", "factor"],
 )
 def test_digit_limit_exits_5(capsys, argv):
     code, out, err = run(capsys, *argv)
