@@ -27,6 +27,7 @@ the derivative's once over the points where the estimate exists.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import add, mul, neg, sub
 from typing import Optional
@@ -344,8 +345,23 @@ def _simp_pow(base: SynTerm, exp_term: SynTerm) -> SynTerm:
         return base
     v = _signed_lit(base)
     if v is not None and c.denominator == 1 and (v != 0 or c > 0):
+        _check_power_digits(v, int(c))
         return _emit_lit(v ** int(c))
     return r_pow(base, exp_term)
+
+
+def _check_power_digits(v: Fraction, k: int) -> None:
+    """Raise the ValueError of the int/str digit limit before v**k is
+    computed, where its numerator or denominator is sure to pass that
+    limit: one of them has at least |k| * (b - 1) * log10(2) digits, b
+    the larger bit length of v's numerator and denominator."""
+    limit = sys.get_int_max_str_digits()
+    bits = max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+    if limit and abs(k) * (bits - 1) * 0.30102 > limit:
+        raise ValueError(
+            f"Exceeds the limit ({limit} digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit"
+        )
 
 
 def _on_pairs(simp):

@@ -11,9 +11,12 @@ first use, not at import), stopping once p*p exceeds what is left; a
 block of 64 consecutive table primes whose product is prime to n is
 skipped with one gcd.  A cofactor that survives and is not prime is
 first tested for a perfect power; otherwise Brent's rho runs for a
-fixed budget of steps, and if that finds nothing, Lenstra's
-elliptic-curve method does, on a fixed schedule of stage bounds and
-curves whose last stage repeats.  Primes are certified by a
+fixed budget of about 4,000 steps, past which a first curve is the
+cheaper next step, and if that finds nothing, Lenstra's elliptic-curve
+method does, on a fixed schedule of stage bounds and curves whose last
+stage repeats.  A curve's ladder starts from an affine point, and its
+stage 2 makes every point affine with one batch inversion, so that each
+prime pair costs one modular multiply.  Primes are certified by a
 Miller-Rabin test that runs as many prime bases as the size of n needs.
 Up to 13 bases (2 to 41) make it exact below psi_13 =
 3317044064679887385961981, about 3.3e24, so in particular for anything
@@ -183,9 +186,10 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 # Brent's rho gives up once its cycle length r passes this, after about
-# 8,000 steps: enough for most factors of up to about 24 bits, where it
-# is no dearer than the elliptic curves.  Larger factors are left to _ecm.
-_RHO_BUDGET = 1 << 11
+# 4,000 steps (1.0-1.3 ms at 48-64 bits), by which it splits products of
+# two 20-bit primes and half of those of two 24-bit ones.  One more
+# doubling costs about 1 ms, as much as a first curve, which splits more.
+_RHO_BUDGET = 1 << 10
 
 
 def _rho(n: int) -> int | None:
@@ -251,17 +255,17 @@ def _ecm_stage(i: int) -> tuple[int, int, tuple[bytes, ...]]:
     return k, m0, giants
 
 
-def _ladder(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int, int, int]:
+def _ladder(k: int, x: int, n: int, a24: int) -> tuple[int, int, int, int]:
     """k*P and (k+1)*P on the Montgomery curve with (A + 2)/4 = a24,
-    for P = (x : z) and k >= 1, as x-only projective coordinates."""
-    x1, z1 = x, z
-    s, d = (x + z) % n, (x - z) % n
+    for P = (x : 1) and k >= 1, as x-only projective coordinates."""
+    x1, z1 = x, 1
+    s, d = x + 1, x - 1
     ss, dd = s * s % n, d * d % n
     t = ss - dd
     x2, z2 = ss * dd % n, t * (dd + a24 * t) % n
     for bit in bin(k)[3:]:
         a, b = (x1 - z1) * (x2 + z2) % n, (x1 + z1) * (x2 - z2) % n
-        xa, za = z * (a + b) ** 2 % n, x * (a - b) ** 2 % n
+        xa, za = (a + b) ** 2 % n, x * (a - b) ** 2 % n
         if bit == "1":
             s, d = x2 + z2, x2 - z2
             x1, z1 = xa, za
@@ -279,8 +283,8 @@ def _ladder(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int, int, in
 
 def _ecm_curve(n: int, sigma: int, stage: tuple[int, int, tuple[bytes, ...]]) -> int:
     """gcd(n, ...) from one curve, Suyama's curve for sigma: stage 1 by
-    an x-only ladder, then, if that gcd is 1, stage 2.  1 and n mean
-    this curve found no proper factor."""
+    an x-only ladder, then stage 2 from its point made affine.  1 and n
+    mean this curve found no proper factor."""
     k, m0, giants = stage
     u, v = sigma * sigma - 5, 4 * sigma
     c = 16 * u**3 * v**4 % n
@@ -290,30 +294,41 @@ def _ecm_curve(n: int, sigma: int, stage: tuple[int, int, tuple[bytes, ...]]) ->
         return math.gcd(c, n)
     x = 16 * u**6 * v * inv % n  # u^3 / v^3
     a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inv % n  # (v-u)^3 (3u+v) / (16 u^3 v)
-    x, z, _, _ = _ladder(k, x, 1, n, a24)
-    g = math.gcd(z, n)
-    if g != 1:
-        return g
-    return _ecm_stage2(n, x, z, a24, m0, giants)
+    x, z, _, _ = _ladder(k, x, n, a24)
+    try:
+        x = x * pow(z, -1, n) % n
+    except ValueError:
+        return math.gcd(z, n)
+    return _ecm_stage2(n, x, a24, m0, giants)
 
 
-def _ecm_stage2(n: int, x: int, z: int, a24: int, m0: int, giants: tuple[bytes, ...]) -> int:
-    """Baby-step/giant-step stage 2 from Q = (x : z): gcd(n, product of
-    x(m*D*Q) - x(j*Q) over the (m, j) that giants lists)."""
+def _ecm_stage2(n: int, x: int, a24: int, m0: int, giants: tuple[bytes, ...]) -> int:
+    """Baby-step/giant-step stage 2 from Q = (x : 1): gcd(n, product of
+    x(m*D*Q) - x(j*Q) over the (m, j) that giants lists), x affine."""
     # baby steps: j*Q for odd j < D/2, from (j + 2)Q = jQ + 2Q
-    _, _, x2, z2 = _ladder(1, x, z, n, a24)
+    _, _, x2, z2 = _ladder(1, x, n, a24)
     xs, zs = [], []
-    xp, zp, xj, zj = x, z, x, z  # (j - 2)Q and jQ, from j = 1: x(-Q) = x(Q)
+    xp, zp, xj, zj = x, 1, x, 1  # (j - 2)Q and jQ, from j = 1: x(-Q) = x(Q)
     for j in range(1, _ECM_D // 2, 2):
         if math.gcd(j, _ECM_D) == 1:
             xs.append(xj)
             zs.append(zj)
         a, b = (xj - zj) * (x2 + z2) % n, (xj + zj) * (x2 - z2) % n
         xp, zp, xj, zj = xj, zj, zp * (a + b) ** 2 % n, xp * (a - b) ** 2 % n
-    # x(j*Q) made affine with one inversion (Montgomery's batch trick)
-    prefix = [1]
-    for zj in zs:
-        prefix.append(prefix[-1] * zj % n)
+    # giant steps m*D*Q for m = m0, m0 + 1, ..., laddered from the affine D*Q
+    xd, zd, _, _ = _ladder(_ECM_D, x, n, a24)
+    try:
+        xd = xd * pow(zd, -1, n) % n
+    except ValueError:
+        return math.gcd(zd, n)
+    xm, zm, xn, zn = _ladder(m0, xd, n, a24)
+    for _ in giants:
+        xs.append(xm)
+        zs.append(zm)
+        a, b = (xn - zn) * (xd + 1) % n, (xn + zn) * (xd - 1) % n
+        xm, zm, xn, zn = xn, zn, zm * (a + b) ** 2 % n, xm * (a - b) ** 2 % n
+    # every x made affine with one inversion (Montgomery's batch trick)
+    prefix = list(itertools.accumulate(zs, lambda p, z: p * z % n, initial=1))
     try:
         inv = pow(prefix[-1], -1, n)
     except ValueError:
@@ -321,16 +336,11 @@ def _ecm_stage2(n: int, x: int, z: int, a24: int, m0: int, giants: tuple[bytes, 
     for i in range(len(zs) - 1, -1, -1):
         xs[i] = xs[i] * prefix[i] % n * inv % n
         inv = inv * zs[i] % n
-    # giant steps m*D*Q for m = m0, m0 + 1, ...; x(mDQ) = x(jQ) mod p
-    # when (mD - j)Q or (mD + j)Q is the identity mod p
-    xd, zd, _, _ = _ladder(_ECM_D, x, z, n, a24)
-    xm, zm, xn, zn = _ladder(m0, xd, zd, n, a24)
+    # x(mDQ) = x(jQ) mod p when (mD - j)Q or (mD + j)Q is the identity mod p
     acc = 1
-    for idx in giants:
+    for xm, idx in zip(xs[len(_ECM_BABY) :], giants):
         for i in idx:
-            acc = acc * (xm - xs[i] * zm) % n
-        a, b = (xn - zn) * (xd + zd) % n, (xn + zn) * (xd - zd) % n
-        xm, zm, xn, zn = xn, zn, zm * (a + b) ** 2 % n, xm * (a - b) ** 2 % n
+            acc = acc * (xm - xs[i]) % n
     return math.gcd(acc, n)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -566,6 +567,32 @@ def test_diff_and_simplify_decide_membership_in_their_one_walk():
     for _ in range(100):
         t = draw_diff_expr(rng, GenConfig(seed=1))
         assert diff(t) is not None and is_diff_expr(simplify(t)), to_infix(t)
+
+
+@pytest.mark.parametrize("op", [diff, simplify], ids=["diff", "simplify"])
+@pytest.mark.parametrize("src", ["3^100000000", "(1/3)^-100000000", "(2^3)^100000000"])
+def test_a_constant_power_past_the_digit_limit_raises_before_it_is_computed(op, src):
+    # 3^100000000 has about 4.8e7 digits; computing it took more than a
+    # minute, and only then did the digit limit refuse the literal.
+    t = dx(src)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="integer string conversion"):
+        op(t)
+    assert time.perf_counter() - start < 3.0
+
+
+def test_a_constant_power_is_refused_only_past_the_digit_limit():
+    for src in ("1^100000000", "(-1)^100000001", "0^100000000", "x^100000000"):
+        assert is_diff_expr(simplify(dx(src))), src
+    assert simplify(dx("2^14000")) == r_lit(2**14000)  # 4215 digits
+    with pytest.raises(ValueError, match="integer string conversion"):
+        simplify(dx("2^14300"))  # 4305 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert simplify(dx("2^20000")) == r_lit(2**20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- the numeric oracle ----------------------------------------------------
