@@ -11,7 +11,7 @@ first use, not at import), stopping once p*p exceeds what is left; a
 block of 64 consecutive table primes whose product is prime to n is
 skipped with one gcd.  A cofactor that survives and is not prime is
 first tested for a perfect power; otherwise Brent's rho runs for a
-fixed budget of about 4,000 steps, past which a first curve is the
+fixed budget of about 2,000 steps, past which a first curve is the
 cheaper next step, and if that finds nothing, Lenstra's elliptic-curve
 method does, on a fixed schedule of stage bounds and curves whose last
 stage repeats.  A curve's ladder starts from an affine point, and its
@@ -186,10 +186,10 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 # Brent's rho gives up once its cycle length r passes this, after about
-# 4,000 steps (1.0-1.3 ms at 48-64 bits), by which it splits products of
-# two 20-bit primes and half of those of two 24-bit ones.  One more
-# doubling costs about 1 ms, as much as a first curve, which splits more.
-_RHO_BUDGET = 1 << 10
+# 2,000 steps (0.4-0.7 ms), by which it splits about 9 in 10 products of
+# two 20-bit primes.  One more doubling costs 0.6 ms and splits under half
+# of the rest at 48 bits, none at 56-64; a first curve costs 1 ms.
+_RHO_BUDGET = 1 << 9
 
 
 def _rho(n: int) -> int | None:

@@ -281,9 +281,8 @@ PRIMES_16_34 = st.integers(min_value=(1 << 16) + 2, max_value=1 << 34).map(prime
 @given(PRIMES_16_34, PRIMES_16_34)
 @settings(max_examples=60, deadline=None)
 def test_factor_int_on_two_primes_past_the_table(p, q):
-    # Rho's budget of about 4,000 steps splits products of two 20-bit
-    # primes; it splits about half of those of two 24-bit primes, and
-    # past that the curves split what rho leaves.
+    # Rho's budget of about 2,000 steps splits most products of two
+    # 20-bit primes; past about 2**20 the curves split what rho leaves.
     pf = factor_int(p * q)
     assert (pf.sign, pf.factors) == oracle_of_product(p, q)
 
@@ -395,7 +394,7 @@ def test_stage_2_finds_every_prime_order_in_its_range(monkeypatch):
     assert found >= 5
 
 
-# Products of two 20-bit primes (seeded draws): each within rho's budget.
+# Products of two 20-bit primes (seeded draws).
 RHO_PAIRS = [
     (949633, 824893), (706751, 666607), (890597, 867619), (868999, 844717),
     (778717, 561091), (612107, 790021), (727123, 695573), (583021, 537899),
@@ -403,13 +402,16 @@ RHO_PAIRS = [
 ]
 
 
-def test_rho_budget_splits_20_bit_factors_and_leaves_32_bit_ones(monkeypatch):
+def test_rho_budget_splits_most_20_bit_factors_and_leaves_32_bit_ones(monkeypatch):
     def refuse(n):
         raise AssertionError(f"curves called on {n}")
 
+    # The budget splits 11 of these 12 (r <= 2**8 splits 4, r <= 2**10
+    # all 12), and leaves a product of two 32-bit primes to the curves.
     monkeypatch.setattr(factoring, "_ecm", refuse)
-    for p, q in RHO_PAIRS:
-        assert factoring._rho(p * q) in (p, q)
+    split = [(p, q) for p, q in RHO_PAIRS if factoring._rho(p * q) in (p, q)]
+    assert len(split) >= 10
+    for p, q in split:
         pf = factor_int(p * q)
         assert (pf.sign, pf.factors) == oracle_of_product(p, q)
     assert factoring._rho(4294967291 * 4294967279) is None
@@ -464,7 +466,7 @@ F7_FACTORS = ((59649589127497217, 1), (5704689200685129054721, 1))
 
 def test_f7_factors_within_budget():
     # Rho alone needs about 2.4e8 steps for the 17-digit factor; the
-    # curves take 1.2-1.3 s on a 2-CPU virtual machine (Python 3.11).
+    # curves take 1.2-1.4 s on a 2-CPU virtual machine (Python 3.11).
     start = time.perf_counter()
     pf = factor_int(F7)
     assert time.perf_counter() - start < 10.0
