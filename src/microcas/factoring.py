@@ -188,7 +188,7 @@ def _perfect_power(n: int) -> tuple[int, int]:
 # Brent's rho gives up once its cycle length r passes this, after about
 # 2,000 steps (0.4-0.7 ms), by which it splits about 9 in 10 products of
 # two 20-bit primes.  One more doubling costs 0.6 ms and splits under half
-# of the rest at 48 bits, none at 56-64; a first curve costs 1 ms.
+# of the rest at 48 bits, none at 56-64; a first curve costs 1.0-1.2 ms.
 _RHO_BUDGET = 1 << 9
 
 

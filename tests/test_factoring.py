@@ -466,7 +466,7 @@ F7_FACTORS = ((59649589127497217, 1), (5704689200685129054721, 1))
 
 def test_f7_factors_within_budget():
     # Rho alone needs about 2.4e8 steps for the 17-digit factor; the
-    # curves take 1.2-1.4 s on a 2-CPU virtual machine (Python 3.11).
+    # curves take 1.2-1.6 s on a 2-CPU virtual machine (Python 3.11).
     start = time.perf_counter()
     pf = factor_int(F7)
     assert time.perf_counter() - start < 10.0
