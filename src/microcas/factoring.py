@@ -45,6 +45,7 @@ from .terms import (
     Value,
     fold,
     match_binary,
+    match_unary,
     op_table,
     register_evaluator,
 )
@@ -486,16 +487,20 @@ def decomp_to_term(pf: PrimeFactorization) -> SynTerm:
     return i_mul(sign_term, chain)
 
 
+def _is_unit(t: SynTerm) -> bool:
+    """t is the literal 1 or its negation, the sign of a decomposition."""
+    lit = match_unary(t, NEG_I) or t
+    return type(lit) is IntLit and lit.value == 1
+
+
 def is_prime_decomp(t: SynTerm) -> bool:
     """Exactly the terms decomp_to_term can produce."""
-    if t == IntLit(0) or t == IntLit(1) or t == i_neg(IntLit(1)):
+    if (type(t) is IntLit and t.value == 0) or _is_unit(t):
         return True
     parts = match_binary(t, MUL_I)
-    if parts is None:
+    if parts is None or not _is_unit(parts[0]):
         return False
-    sign_term, chain = parts
-    if sign_term != IntLit(1) and sign_term != i_neg(IntLit(1)):
-        return False
+    chain = parts[1]
     last = 1
     while True:
         inner = match_binary(chain, MUL_I)

@@ -1,26 +1,26 @@
 """Seeded random term generators and executable contract suites.
 
 Each check_* function is one operation's formal contract, written as a
-generator of cases: it draws terms from the seeded stream and yields one
-verdict per contract branch a term is held to, with the witness to print
-should it fail.  One runner, _run, tallies the verdicts into the
-branches the suite declares and builds the Report; the off-language
-branch comes from _off_language.  The defined branches are checked
-against oracles that do not share code with the implementation under
-test: factoring is re-multiplied through the quotation kernel,
-normalization and quoted fractions are compared by cross-multiplying the
-unreduced flattened fractions, quoted rational terms and functions
-against a recursive denotation, derivatives against central differences.
-A report only counts as ok when every branch was actually exercised, so
-a generator drifting away from an undefinedness path fails loudly
-instead of silently.
+table of laws: a group draws a case from the seeded stream, and each row
+names a contract branch and the law a case is held to, returning ok or
+(ok, witness suffix).  One runner, _run, draws every case, checks it
+against its group's laws in order, tallies the verdicts by branch and
+builds the Report; the off-language group comes from _off_language.
+The defined branches are checked against oracles that do not share code
+with the implementation under test: factoring is re-multiplied through
+the quotation kernel, normalization and quoted fractions are compared by
+cross-multiplying the unreduced flattened fractions, quoted rational
+terms and functions against a recursive denotation, derivatives against
+central differences.  A report only counts as ok when every branch was
+actually exercised, so a generator drifting away from an undefinedness
+path fails loudly instead of silently.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .terms import (
     Arrow,
@@ -39,6 +39,7 @@ from .terms import (
     RatV,
     Record,
     SYNTAX,
+    SemType,
     SynTerm,
     TermV,
     Var,
@@ -53,23 +54,24 @@ from . import differentiation as dr
 from .printing import to_sexpr
 
 
+# Bound on the small literals the generators draw.
+COEFF_BOUND = 12
+
+
 class GenConfig(Record):
     """Knobs for generation and check sizes; same seed, same run."""
 
-    __slots__ = ("seed", "max_depth", "coeff_bound", "cases")
+    __slots__ = ("seed", "max_depth", "cases")
 
-    def __init__(self, seed: int, max_depth: int = 6, coeff_bound: int = 12, cases: int = 500) -> None:
+    def __init__(self, seed: int, max_depth: int = 6, cases: int = 500) -> None:
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if cases < 1:
             raise ValueError("cases must be at least 1")
-        if coeff_bound < 1:
-            raise ValueError("coeff_bound must be at least 1")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "coeff_bound", coeff_bound)
         object.__setattr__(self, "cases", cases)
 
 
@@ -82,21 +84,21 @@ def draw_numeral(rng: random.Random, cfg: GenConfig) -> SynTerm:
     if roll < 0.3:
         return IntLit(rng.randint(0, 50))
     if roll < 0.8:
-        return IntLit(rng.randint(0, cfg.coeff_bound ** 4))
+        return IntLit(rng.randint(0, COEFF_BOUND ** 4))
     return IntLit(rng.randint(0, 10 ** 6))
 
 
-def _rat_literal(rng: random.Random, cfg: GenConfig) -> SynTerm:
-    num = rng.randint(0, cfg.coeff_bound)
+def _rat_literal(rng: random.Random) -> SynTerm:
+    num = rng.randint(0, COEFF_BOUND)
     den = rng.randint(1, 4) if rng.random() < 0.3 else 1
     lit = rq.q_lit(Fraction(num, den))
     return rq.q_neg(lit) if rng.random() < 0.35 else lit
 
 
-def _linear_root_product(rng: random.Random, cfg: GenConfig) -> SynTerm:
+def _linear_root_product(rng: random.Random) -> SynTerm:
     """One or two factors x - r with small integer roots, the kind of
     denominator whose undefined points the normalizer must preserve."""
-    half = max(1, cfg.coeff_bound // 2)
+    half = COEFF_BOUND // 2
     out: Optional[SynTerm] = None
     for _ in range(rng.randint(1, 2)):
         r = rng.randint(-half, half)
@@ -110,13 +112,13 @@ def _linear_root_product(rng: random.Random, cfg: GenConfig) -> SynTerm:
 
 def _denominator(rng: random.Random, cfg: GenConfig, depth: int) -> SynTerm:
     if rng.random() < 0.3:
-        return _linear_root_product(rng, cfg)
+        return _linear_root_product(rng)
     return _rat_expr(rng, cfg, min(depth, 3))
 
 
 def _rat_expr(rng: random.Random, cfg: GenConfig, depth: int) -> SynTerm:
     if depth <= 1 or rng.random() < 0.25:
-        return rq.X_Q if rng.random() < 0.45 else _rat_literal(rng, cfg)
+        return rq.X_Q if rng.random() < 0.45 else _rat_literal(rng)
     roll = rng.random()
     if roll < 0.22:
         return rq.q_add(_rat_expr(rng, cfg, depth - 1), _rat_expr(rng, cfg, depth - 1))
@@ -141,8 +143,8 @@ def draw_rat_fun(rng: random.Random, cfg: GenConfig) -> SynTerm:
     return Lambda("x", RAT, draw_rat_expr(rng, cfg))
 
 
-def _diff_literal(rng: random.Random, cfg: GenConfig) -> SynTerm:
-    num = rng.randint(0, cfg.coeff_bound)
+def _diff_literal(rng: random.Random) -> SynTerm:
+    num = rng.randint(0, COEFF_BOUND)
     den = rng.randint(1, 4) if rng.random() < 0.25 else 1
     lit = dr.r_lit(Fraction(num, den))
     return dr.r_neg(lit) if rng.random() < 0.3 else lit
@@ -150,7 +152,7 @@ def _diff_literal(rng: random.Random, cfg: GenConfig) -> SynTerm:
 
 def _diff_expr(rng: random.Random, cfg: GenConfig, depth: int) -> SynTerm:
     if depth <= 1 or rng.random() < 0.28:
-        return dr.X_R if rng.random() < 0.5 else _diff_literal(rng, cfg)
+        return dr.X_R if rng.random() < 0.5 else _diff_literal(rng)
     roll = rng.random()
     sub = lambda d=1: _diff_expr(rng, cfg, depth - d)  # noqa: E731
     if roll < 0.15:
@@ -189,7 +191,7 @@ def draw_int_expr(rng: random.Random, cfg: GenConfig, depth: int | None = None) 
     if depth is None:
         depth = cfg.max_depth
     if depth <= 0 or rng.random() < 0.4:
-        return IntLit(rng.randint(0, cfg.coeff_bound))
+        return IntLit(rng.randint(0, COEFF_BOUND))
     roll = rng.random()
     if roll < 0.35:
         return fx.i_add(draw_int_expr(rng, cfg, depth - 1), draw_int_expr(rng, cfg, depth - 1))
@@ -205,7 +207,7 @@ def draw_closed_rat(rng: random.Random, cfg: GenConfig, depth: int | None = None
     if depth is None:
         depth = cfg.max_depth
     if depth <= 0 or rng.random() < 0.4:
-        return _rat_literal(rng, cfg)
+        return _rat_literal(rng)
     roll = rng.random()
     if roll < 0.30:
         return rq.q_add(draw_closed_rat(rng, cfg, depth - 1), draw_closed_rat(rng, cfg, depth - 1))
@@ -311,40 +313,45 @@ class Report(Record):
 # ---------------------------------------------------------------------------
 # contract checks
 
-Verdict = tuple[str, bool, SynTerm, str]  # branch, ok, witness term and suffix
 
-
-def _run(
-    check: str,
-    cfg: GenConfig,
-    branches: tuple[str, ...],
-    cases: Callable[[random.Random], Iterator[Verdict]],
-) -> Report:
-    """Tally the verdicts that cases draws from the seeded stream into
-    the branches, declared up front in report order: a branch no case
-    reaches fails the report; an undeclared branch raises KeyError.  A
-    branch's witness is printed at its first failure only."""
-    counts = dict.fromkeys(branches, 0)
-    failures = dict.fromkeys(branches, 0)
+def _run(check: str, cfg: GenConfig, *groups: tuple) -> Report:
+    """Draw each group's cases from the seeded stream and hold each case
+    to the group's laws, in order.  A group is (count, draw, laws):
+    draw(rng) returns a case tuple whose first item is the witness term,
+    and each law is a (branch, law) row whose law(*case) returns ok or
+    (ok, witness suffix).  Branches are reported in the order the rows
+    first name them, so a branch that no case reaches fails the report.
+    A branch's witness, the s-expression of the term plus the suffix, is
+    printed at its first failure only."""
+    counts: dict[str, int] = {}
+    for count, _, laws in groups:
+        for branch, _ in laws:
+            counts[branch] = counts.get(branch, 0) + count
+    failures = dict.fromkeys(counts, 0)
     witnesses: dict[str, str] = {}
-    for branch, ok, t, suffix in cases(random.Random(cfg.seed)):
-        counts[branch] += 1
-        if not ok:
-            failures[branch] += 1
-            if branch not in witnesses:
-                witnesses[branch] = to_sexpr(t) + suffix
-    tallies = tuple(BranchTally(b, counts[b], failures[b], witnesses.get(b)) for b in branches)
+    rng = random.Random(cfg.seed)
+    for count, draw, laws in groups:
+        for _ in range(count):
+            case = draw(rng)
+            for branch, law in laws:
+                verdict = law(*case)
+                ok, suffix = verdict if type(verdict) is tuple else (verdict, "")
+                if not ok:
+                    failures[branch] += 1
+                    if branch not in witnesses:
+                        witnesses[branch] = to_sexpr(case[0]) + suffix
+    tallies = tuple(BranchTally(b, counts[b], failures[b], witnesses.get(b)) for b in counts)
     return Report(check, cfg.seed, tallies)
 
 
-def _off_language(
-    rng: random.Random, cfg: GenConfig, target: str, algorithm: Callable
-) -> Iterator[Verdict]:
-    """The undefined branch: the algorithm has no result on non-members
+def _off_language(cfg: GenConfig, target: str, algorithm: Callable) -> tuple:
+    """The undefined group: the algorithm has no result on non-members
     of its target language."""
-    for _ in range(max(1, 2 * cfg.cases // 5)):
-        s = draw_non_member(rng, target)
-        yield "undefined-off-language", algorithm(s) is None, s, ""
+    return (
+        max(1, 2 * cfg.cases // 5),
+        lambda rng: (draw_non_member(rng, target),),
+        (("undefined-off-language", lambda s: algorithm(s) is None),),
+    )
 
 
 def check_spec_factor(cfg: GenConfig) -> Report:
@@ -352,17 +359,19 @@ def check_spec_factor(cfg: GenConfig) -> Report:
     decomposition denoting the same integer; off numerals there is no
     result."""
 
-    def cases(rng: random.Random) -> Iterator[Verdict]:
-        for _ in range(cfg.cases):
-            t = draw_numeral(rng, cfg)
-            d = fx.factor(t)
-            yield "prime-decomposition-shape", d is not None and fx.is_prime_decomp(d), t, ""
-            got = None if d is None else eval_as(quote(d), INT)
-            yield "value-agreement", isinstance(got, IntV) and got.value == t.value, t, ""
-        yield from _off_language(rng, cfg, "numeral", fx.factor)
+    def draw(rng: random.Random) -> tuple:
+        t = draw_numeral(rng, cfg)
+        return t, fx.factor(t)
 
-    branches = ("prime-decomposition-shape", "value-agreement", "undefined-off-language")
-    return _run("factor", cfg, branches, cases)
+    def agrees(t: SynTerm, d: Optional[SynTerm]) -> bool:
+        got = None if d is None else eval_as(quote(d), INT)
+        return isinstance(got, IntV) and got.value == t.value
+
+    laws = (
+        ("prime-decomposition-shape", lambda t, d: d is not None and fx.is_prime_decomp(d)),
+        ("value-agreement", agrees),
+    )
+    return _run("factor", cfg, (cfg.cases, draw, laws), _off_language(cfg, "numeral", fx.factor))
 
 
 def _values_cross_match(t: SynTerm, n: SynTerm) -> bool:
@@ -379,16 +388,15 @@ def check_spec_norm_rat_expr(cfg: GenConfig) -> Report:
     """Normalization contract: outputs are normal forms with the same
     field value (quasi-equality); no result off the language."""
 
-    def cases(rng: random.Random) -> Iterator[Verdict]:
-        for _ in range(cfg.cases):
-            t = draw_rat_expr(rng, cfg)
-            n = rq.norm_rat_expr(t)
-            yield "normal-on-output", n is not None and rq.is_norm(n), t, ""
-            yield "value-quasi-equality", n is not None and _values_cross_match(t, n), t, ""
-        yield from _off_language(rng, cfg, "ratexpr", rq.norm_rat_expr)
+    def draw(rng: random.Random) -> tuple:
+        t = draw_rat_expr(rng, cfg)
+        return t, rq.norm_rat_expr(t)
 
-    branches = ("normal-on-output", "value-quasi-equality", "undefined-off-language")
-    return _run("norm-rat-expr", cfg, branches, cases)
+    laws = (
+        ("normal-on-output", lambda t, n: n is not None and rq.is_norm(n)),
+        ("value-quasi-equality", lambda t, n: n is not None and _values_cross_match(t, n)),
+    )
+    return _run("norm-rat-expr", cfg, (cfg.cases, draw, laws), _off_language(cfg, "ratexpr", rq.norm_rat_expr))
 
 
 def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
@@ -396,41 +404,38 @@ def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
     in quasinormal form computing the same partial function, checked at
     every rational singularity of the input plus random points."""
 
-    def cases(rng: random.Random) -> Iterator[Verdict]:
-        for _ in range(cfg.cases):
-            f = draw_rat_fun(rng, cfg)
-            g = rq.norm_rat_fun(f)
-            # f is a rational function whenever g exists, and g is checked
-            # here once, so the points compare bodies directly.
-            is_fun = g is not None and rq.is_rat_fun(g)
-            yield "output-is-function", is_fun, f, ""
-            yield "body-quasinormal", g is not None and rq.is_quasinorm(rq.body(g)), f, ""
-            bad = None
-            if is_fun:
-                # Points and values are unreduced integer pairs, compared
-                # by cross-multiplying; a Fraction is built only to name
-                # the smallest point where the bodies disagree.
-                pf, pg = rq.compile_rat(f.body).pair, rq.compile_rat(g.body).pair
-                points = [(a.numerator, a.denominator) for a in rq.singular_points(f.body)]
-                points += [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(50)]
-                failing = []
-                for n, d in points:
-                    u, v = pf(n, d), pg(n, d)
-                    if u is v:  # both undefined
-                        continue
-                    if u is None or v is None or u[0] * v[1] != v[0] * u[1]:
-                        failing.append((n, d))
-                if failing:
-                    bad = min(Fraction(n, d) for n, d in failing)
-            at = "" if bad is None else f" at x = {bad}"
-            yield "pointwise-quasi-equality", is_fun and bad is None, f, at
-        yield from _off_language(rng, cfg, "ratfun", rq.norm_rat_fun)
+    def draw(rng: random.Random) -> tuple:
+        f = draw_rat_fun(rng, cfg)
+        g = rq.norm_rat_fun(f)
+        # f is a rational function whenever g exists, and g is checked
+        # here once, so the points compare bodies directly.  The random
+        # points are drawn only when g is a function.
+        if g is None or not rq.is_rat_fun(g):
+            return f, g, None
+        return f, g, [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(50)]
 
-    branches = (
-        "output-is-function", "body-quasinormal", "pointwise-quasi-equality",
-        "undefined-off-language",
+    def agree_at_points(f: SynTerm, g: SynTerm, points: Optional[list]):
+        # Points and values are unreduced integer pairs, compared by
+        # cross-multiplying; a Fraction is built only to name the
+        # smallest point where the bodies disagree.
+        if points is None:
+            return False
+        pf, pg = rq.compile_rat(f.body).pair, rq.compile_rat(g.body).pair
+        failing = []
+        for n, d in [(a.numerator, a.denominator) for a in rq.singular_points(f.body)] + points:
+            u, v = pf(n, d), pg(n, d)
+            if u is v:  # both undefined
+                continue
+            if u is None or v is None or u[0] * v[1] != v[0] * u[1]:
+                failing.append((n, d))
+        return not failing or (False, f" at x = {min(Fraction(n, d) for n, d in failing)}")
+
+    laws = (
+        ("output-is-function", lambda f, g, points: points is not None),
+        ("body-quasinormal", lambda f, g, points: g is not None and rq.is_quasinorm(rq.body(g))),
+        ("pointwise-quasi-equality", agree_at_points),
     )
-    return _run("norm-rat-fun", cfg, branches, cases)
+    return _run("norm-rat-fun", cfg, (cfg.cases, draw, laws), _off_language(cfg, "ratfun", rq.norm_rat_fun))
 
 
 _DIFF_GRID = [-2.5 + 5.0 * i / 24 for i in range(25)]
@@ -441,17 +446,15 @@ def check_spec_diff(cfg: GenConfig) -> Report:
     and matches the convergent central-difference estimate wherever
     that estimate exists; no result off the language."""
 
-    def cases(rng: random.Random) -> Iterator[Verdict]:
-        for _ in range(cfg.cases):
-            t = draw_diff_expr(rng, cfg)
-            rep = dr.check_spec_diff(t, _DIFF_GRID)
-            yield "derivative-in-language", dr.is_diff_expr(rep.derivative), t, ""
-            at = "" if rep.ok else f" at x = {rep.violations[0].point}"
-            yield "pointwise-agreement", rep.ok, t, at
-        yield from _off_language(rng, cfg, "diffexpr", dr.diff)
+    def draw(rng: random.Random) -> tuple:
+        t = draw_diff_expr(rng, cfg)
+        return t, dr.check_spec_diff(t, _DIFF_GRID)
 
-    branches = ("derivative-in-language", "pointwise-agreement", "undefined-off-language")
-    return _run("diff", cfg, branches, cases)
+    laws = (
+        ("derivative-in-language", lambda t, rep: dr.is_diff_expr(rep.derivative)),
+        ("pointwise-agreement", lambda t, rep: rep.ok or (False, f" at x = {rep.violations[0].point}")),
+    )
+    return _run("diff", cfg, (cfg.cases, draw, laws), _off_language(cfg, "diffexpr", dr.diff))
 
 
 def _int_denote(t: SynTerm) -> Optional[int]:
@@ -511,56 +514,44 @@ def check_disquotation(cfg: GenConfig) -> Report:
     """Quotation law: evaluating the quotation of a term at its own
     type yields the term's denotation; at any other type, nothing."""
 
-    def cases(rng: random.Random) -> Iterator[Verdict]:
-        for _ in range(cfg.cases):
-            t = draw_int_expr(rng, cfg)
-            want = _int_denote(t)
-            got = eval_as(quote(t), INT)
-            ok = want is not None and isinstance(got, IntV) and got.value == want
-            yield "integer-denotation", ok, t, ""
+    def integer(t: SynTerm) -> bool:
+        want, got = _int_denote(t), eval_as(quote(t), INT)
+        return want is not None and isinstance(got, IntV) and got.value == want
 
-        for _ in range(cfg.cases):
-            t = draw_closed_rat(rng, cfg)
-            want = _rat_denote(t)
-            got = eval_as(quote(t), RAT)
-            ok = got is None if want is None else isinstance(got, RatV) and got.value == want
-            yield "rational-denotation", ok, t, ""
+    def rational(t: SynTerm) -> bool:
+        want, got = _rat_denote(t), eval_as(quote(t), RAT)
+        return got is None if want is None else isinstance(got, RatV) and got.value == want
 
-        for _ in range(cfg.cases):
-            t = draw_rat_expr(rng, cfg)
-            ft = rq.flatten_raw(t)
-            got = eval_as(quote(t), FRAC)
-            ok = got is None if ft is None else (
-                isinstance(got, FracV) and ft[0] * got.value.den == got.value.num * ft[1]
-            )
-            yield "fraction-denotation", ok, t, ""
+    def fraction(t: SynTerm) -> bool:
+        ft, got = rq.flatten_raw(t), eval_as(quote(t), FRAC)
+        if ft is None:
+            return got is None
+        return isinstance(got, FracV) and ft[0] * got.value.den == got.value.num * ft[1]
 
-        qq = Arrow(RAT, RAT)
-        points = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3))
-        for _ in range(cfg.cases):
-            f = draw_rat_fun(rng, cfg)
-            got = eval_as(quote(f), qq)
-            ok = (
-                isinstance(got, FnQQ)
-                and got.term == f
-                and all(got(a) == _rat_denote(f.body, a) for a in points)
-            )
-            yield "function-denotation", ok, f, ""
+    qq = Arrow(RAT, RAT)
+    points = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3))
 
-        for _ in range(cfg.cases):
-            t = draw_rat_expr(rng, cfg)
-            got = eval_as(quote(quote(t)), SYNTAX)
-            yield "syntax-identity", isinstance(got, TermV) and got.term == t, t, ""
+    def function(f: SynTerm) -> bool:
+        got = eval_as(quote(f), qq)
+        return isinstance(got, FnQQ) and got.term == f and all(got(a) == _rat_denote(f.body, a) for a in points)
 
-        for _ in range(max(1, cfg.cases // 5)):
-            t, ty = _mismatched_pair(rng, cfg)
-            yield "type-mismatch-undefined", eval_as(quote(t), ty) is None, t, f" read at {ty}"
+    def syntax(t: SynTerm) -> bool:
+        got = eval_as(quote(quote(t)), SYNTAX)
+        return isinstance(got, TermV) and got.term == t
 
-    branches = (
-        "integer-denotation", "rational-denotation", "fraction-denotation",
-        "function-denotation", "syntax-identity", "type-mismatch-undefined",
+    def mismatch(t: SynTerm, ty: SemType):
+        return eval_as(quote(t), ty) is None or (False, f" read at {ty}")
+
+    n = cfg.cases
+    return _run(
+        "disquotation", cfg,
+        (n, lambda rng: (draw_int_expr(rng, cfg),), (("integer-denotation", integer),)),
+        (n, lambda rng: (draw_closed_rat(rng, cfg),), (("rational-denotation", rational),)),
+        (n, lambda rng: (draw_rat_expr(rng, cfg),), (("fraction-denotation", fraction),)),
+        (n, lambda rng: (draw_rat_fun(rng, cfg),), (("function-denotation", function),)),
+        (n, lambda rng: (draw_rat_expr(rng, cfg),), (("syntax-identity", syntax),)),
+        (max(1, n // 5), lambda rng: _mismatched_pair(rng, cfg), (("type-mismatch-undefined", mismatch),)),
     )
-    return _run("disquotation", cfg, branches, cases)
 
 
 def _mentions_var(t: SynTerm) -> bool:

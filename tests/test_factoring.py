@@ -540,6 +540,10 @@ def test_is_prime_decomp_rejects_wrong_shapes():
     assert is_prime_decomp(i_neg(IntLit(1)))
     assert not is_prime_decomp(IntLit(6))
     assert not is_prime_decomp(IntLit(2))
+    assert not is_prime_decomp(IntLit(-1))
+    assert not is_prime_decomp(RatLit(1))
+    assert not is_prime_decomp(i_neg(IntLit(2)))
+    assert not is_prime_decomp(i_mul(RatLit(1), i_pow(IntLit(2), IntLit(1))))
 
     good = decomp_to_term(factor_int(12))
     assert is_prime_decomp(good)
