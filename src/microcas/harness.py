@@ -415,19 +415,19 @@ def check_spec_norm_rat_fun(cfg: GenConfig) -> Report:
         return f, g, [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(50)]
 
     def agree_at_points(f: SynTerm, g: SynTerm, points: Optional[list]):
-        # Points and values are unreduced integer pairs, compared by
-        # cross-multiplying; a Fraction is built only to name the
-        # smallest point where the bodies disagree.
+        # Each body is lowered once and run once over the column of all
+        # points, as unreduced integer pairs.  A row agrees when both
+        # values are undefined (denominator 0) or both are defined and
+        # equal by cross-multiplying; a Fraction is built only to name
+        # the smallest point where the bodies disagree.
         if points is None:
             return False
-        pf, pg = rq.compile_rat(f.body).pair, rq.compile_rat(g.body).pair
-        failing = []
-        for n, d in [(a.numerator, a.denominator) for a in rq.singular_points(f.body)] + points:
-            u, v = pf(n, d), pg(n, d)
-            if u is v:  # both undefined
-                continue
-            if u is None or v is None or u[0] * v[1] != v[0] * u[1]:
-                failing.append((n, d))
+        points = [(a.numerator, a.denominator) for a in rq.singular_points(f.body)] + points
+        xn, xd = [n for n, _ in points], [d for _, d in points]
+        (fn, fd), (gn, gd) = rq.compile_rat(f.body).run(xn, xd), rq.compile_rat(g.body).run(xn, xd)
+        failing = [
+            x for x, a, b, c, e in zip(points, fn, fd, gn, gd) if (b == 0) != (e == 0) or a * e != c * b
+        ]
         return not failing or (False, f" at x = {min(Fraction(n, d) for n, d in failing)}")
 
     laws = (

@@ -70,22 +70,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for k in range(len(self._num) - 1, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-        return " + ".join(parts)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":

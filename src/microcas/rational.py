@@ -30,9 +30,10 @@ result by multiplying numerator and denominator by (x - a).
 Values at a point are computed on the original tree, where that
 strictness lives: ``compile_rat`` checks membership and lowers a term
 once, in one ``fold``, to a straight-line ``RatProgram`` over unreduced
-integer pairs whose shared subterms are computed once; the program is
-then run at each point.  ``eval_pointwise`` is one lowering
-and one run.
+integer pairs whose shared subterms are computed once.  Calling the
+program runs it at one point; its ``run`` runs it over a column of
+points, a step at a time.  ``eval_pointwise`` is one lowering and one
+call.
 """
 
 from __future__ import annotations
@@ -322,22 +323,25 @@ class RatProgram(Record):
     unused by unary steps).  The last register is the term's value.
     Shared subterms are computed once.
 
-    ``pair`` runs the steps and returns the last register as it stands;
-    calling the program runs ``pair`` and builds the one reduced
-    ``Fraction`` of its result.  Callers that compare many values, such
-    as the norm-fun contract, compare pairs by cross-multiplying.
+    Calling the program runs the steps at one point and builds the one
+    reduced ``Fraction`` of the last register.  ``run`` evaluates the
+    steps over a column of points at once, each step one pass over its
+    operands' columns, and returns the last register's unreduced pairs;
+    callers that hold many points, such as the norm-fun contract, use
+    it and compare the pairs by cross-multiplying.
     """
 
     __slots__ = ("nums", "dens", "steps")
 
-    def pair(self, num: int, den: int) -> Optional[tuple[int, int]]:
-        """Value at x = num/den, for den > 0, as an unreduced integer
-        pair (n, d) with d > 0; None where it is undefined: the first
+    def __call__(self, a: Fraction | int) -> Optional[Fraction]:
+        """Value at x = a, or None where it is undefined: the first
         inverse of zero ends the run, since every step is a subterm and
         undefinedness is strict."""
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
         n = list(self.nums)
         d = list(self.dens)
-        n[0], d[0] = num, den
+        n[0], d[0] = a.numerator, a.denominator
         put_n, put_d = n.append, d.append
         for op, i, j in self.steps:
             if op == _MUL:
@@ -358,14 +362,51 @@ class RatProgram(Record):
                 nv, dv = nv // g, dv // g
             put_n(nv)
             put_d(dv)
+        return Fraction(n[-1], d[-1])
+
+    def run(self, nums: list[int], dens: list[int]) -> tuple[list[int], list[int]]:
+        """Values at x = nums[k]/dens[k], each dens[k] > 0, as the
+        columns (n, d) of unreduced pairs, d > 0 where defined.  An
+        undefined row is (0, 0): an inverse maps a zero numerator, and
+        so an undefined operand, to (0, 0), and +, * and negation carry
+        it on, since every product with it is 0.  As in a one-point
+        call, a pair whose denominator passes ``_REDUCE_ABOVE`` is
+        reduced by its gcd; an undefined row never is."""
+        m = len(nums)
+        n = [list(nums)] + [[c] * m for c in self.nums[1:]]
+        d = [list(dens)] + [[c] * m for c in self.dens[1:]]
+        put_n, put_d = n.append, d.append
+        mul = operator.mul
+        for op, i, j in self.steps:
+            if op == _MUL:
+                nv, dv = list(map(mul, n[i], n[j])), list(map(mul, d[i], d[j]))
+            elif op == _ADD:
+                di, dj = d[i], d[j]
+                nv = [a * q + b * p for a, p, b, q in zip(n[i], di, n[j], dj)]
+                dv = list(map(mul, di, dj))
+            elif op == _NEG:
+                nv, dv = [-a for a in n[i]], d[i]
+            else:  # _INV
+                nv = [b if a > 0 else -b if a else 0 for a, b in zip(n[i], d[i])]
+                dv = list(map(abs, n[i]))
+            if max(dv, default=0) > _REDUCE_ABOVE:
+                nv, dv = _reduced(nv, dv)
+            put_n(nv)
+            put_d(dv)
         return n[-1], d[-1]
 
-    def __call__(self, a: Fraction | int) -> Optional[Fraction]:
-        """Value at x = a, or None where it is undefined."""
-        if not isinstance(a, (int, Fraction)):
-            a = Fraction(a)
-        v = self.pair(a.numerator, a.denominator)
-        return None if v is None else Fraction(*v)
+
+def _reduced(nums: list[int], dens: list[int]) -> tuple[list[int], list[int]]:
+    """The columns with each pair whose denominator passes
+    ``_REDUCE_ABOVE`` divided by its gcd."""
+    out_n, out_d = [], []
+    for a, b in zip(nums, dens):
+        if b > _REDUCE_ABOVE:
+            g = gcd(a, b)
+            a, b = a // g, b // g
+        out_n.append(a)
+        out_d.append(b)
+    return out_n, out_d
 
 
 def compile_rat(t: SynTerm) -> RatProgram:

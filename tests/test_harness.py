@@ -254,6 +254,51 @@ def test_norm_fun_witness_is_the_smallest_failing_point(monkeypatch):
     assert witness.endswith(" at x = -5")
 
 
+@pytest.mark.parametrize("seed, failures, point", [(0, 3, "-3"), (1, 2, "0"), (2, 7, "-1")])
+def test_norm_fun_fails_a_normalizer_that_drops_singularities(monkeypatch, seed, failures, point):
+    # Full normalization in place of quasinormalization gives quasinormal
+    # bodies that are defined where the input is not: those rows are
+    # undefined on one side only, which cross-multiplying a denominator
+    # of 0 alone would pass.
+    from microcas import rational
+
+    full = lambda real, t: real(t) and Lambda("x", RAT, rational.norm_rat_expr(t.body))  # noqa: E731
+    _rig(monkeypatch, rational, "norm_rat_fun", full)
+    branches = {b.name: b for b in CHECKS["norm-fun"](GenConfig(seed=seed, cases=40)).branches}
+    assert branches["body-quasinormal"].failures == 0
+    pointwise = branches["pointwise-quasi-equality"]
+    assert pointwise.failures == failures
+    assert pointwise.first_counterexample.endswith(f" at x = {point}")
+
+
+def test_norm_fun_lowers_and_runs_each_body_once(monkeypatch):
+    # Per function case: one compile_rat per body and one column run per
+    # program, and no one-point call.
+    from microcas import rational
+
+    compiled, ran, called = [], [], []
+    real_compile, real_run, real_call = rational.compile_rat, rational.RatProgram.run, rational.RatProgram.__call__
+
+    def compile_counting(t):
+        compiled.append(real_compile(t))
+        return compiled[-1]
+
+    def run_counting(prog, nums, dens):
+        ran.append(prog)
+        return real_run(prog, nums, dens)
+
+    def call_counting(prog, a):
+        called.append(prog)
+        return real_call(prog, a)
+
+    monkeypatch.setattr(rational, "compile_rat", compile_counting)
+    monkeypatch.setattr(rational.RatProgram, "run", run_counting)
+    monkeypatch.setattr(rational.RatProgram, "__call__", call_counting)
+    assert CHECKS["norm-fun"](GenConfig(seed=3, cases=50)).ok
+    assert len(compiled) == 100 and called == []
+    assert sorted(map(id, ran)) == sorted(map(id, compiled))
+
+
 def test_diff_witness_names_the_point(monkeypatch):
     from microcas import differentiation
 

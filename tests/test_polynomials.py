@@ -210,13 +210,6 @@ def test_monic_and_scale():
         Poly().monic()
 
 
-def test_str_rendering():
-    assert str(Poly()) == "0"
-    assert str(Poly([1, 2, 1])) == "x^2 + 2*x + 1"
-    assert str(Poly([0, 1])) == "x"
-    assert str(Poly([Fraction(1, 2)])) == "1/2"
-
-
 # -- the integer kernel against a Fraction reference ----------------------
 #
 # The reference below works on tuples of Fractions (ascending, no

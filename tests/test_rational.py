@@ -535,18 +535,58 @@ def test_compile_rat_matches_a_fraction_reference(seed):
     st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 6)), max_size=8),
 )
 def test_program_pair_is_the_value_unreduced(seed, draws):
-    # The norm-fun suite compares these pairs; they must be the value
-    # that calling the program and the harness's own denotation give.
+    # The norm-fun suite compares these pairs; row by row they must be
+    # the value that calling the program and the harness's own
+    # denotation give, with (0, 0) where it is undefined.
     t = draw_rat_expr(random.Random(seed), GenConfig(seed=seed))
     prog = compile_rat(t)
-    points = [(a.numerator, a.denominator) for a in singular_points(t)] + draws
-    for n, d in points + [(0, 1), (2, 2)]:
-        pair = prog.pair(n, d)
+    points = [(a.numerator, a.denominator) for a in singular_points(t)] + draws + [(0, 1), (2, 2)]
+    nums, dens = prog.run([n for n, _ in points], [d for _, d in points])
+    assert len(nums) == len(dens) == len(points)
+    for (n, d), u, v in zip(points, nums, dens):
         got, want = prog(Fraction(n, d)), _rat_denote(t, Fraction(n, d))
-        if pair is None:
-            assert got is None and want is None, (to_infix(t), n, d)
+        if v == 0:
+            assert u == 0 and got is None and want is None, (to_infix(t), n, d)
         else:
-            assert pair[1] > 0 and Fraction(*pair) == got == want, (to_infix(t), n, d)
+            assert v > 0 and Fraction(u, v) == got == want, (to_infix(t), n, d)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_run_agrees_with_the_one_point_call_row_by_row(seed):
+    # Harness draws over one column of their singular points and a
+    # spread of points around them, among them unreduced ones.
+    rng = random.Random(seed)
+    cfg = GenConfig(seed=seed)
+    for _ in range(40):
+        t = draw_rat_fun(rng, cfg).body
+        points = [(a.numerator, a.denominator) for a in singular_points(t)]
+        points += [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(10)]
+        prog = compile_rat(t)
+        for (n, d), u, v in zip(points, *prog.run([n for n, _ in points], [d for _, d in points])):
+            want = prog(Fraction(n, d))
+            assert (u, v) == (0, 0) if want is None else v > 0 and Fraction(u, v) == want, (to_infix(t), n, d)
+
+
+def test_run_keeps_an_undefined_row_beside_a_reduced_one():
+    # x^3000 + 1/(x - 1): at x = 2/6 the power's denominator 6^3000
+    # passes the reduce bound, and its row is reduced, while the row at
+    # x = 1 next to it is undefined and must stay (0, 0) through the
+    # gcd.  At x = -2/3 the inverse is of a negative value.
+    t = q_add(q_pow(X_Q, 3000), q_inv(q_sub(X_Q, q_lit(1))))
+    prog = compile_rat(t)
+    points = [(2, 6), (1, 1), (-2, 3), (3, 1)]
+    nums, dens = prog.run([n for n, _ in points], [d for _, d in points])
+    assert (nums[1], dens[1]) == (0, 0)
+    assert dens[0] < 6**3000
+    for (n, d), u, v in zip(points, nums, dens):
+        want = prog(Fraction(n, d))
+        assert (u, v) == (0, 0) if want is None else v > 0 and Fraction(u, v) == want
+    assert Fraction(nums[0], dens[0]) == Fraction(1, 3**3000) - Fraction(3, 2)
+    assert Fraction(nums[2], dens[2]) == Fraction(-2, 3) ** 3000 - Fraction(3, 5)
+    inv = compile_rat(q_inv(X_Q))
+    assert inv.run([-2, 0], [3, 1]) == ([-3, 0], [2, 0])
+    assert inv.run([], []) == ([], [])
+    assert compile_rat(X_Q).run([], []) == ([], [])
 
 
 def test_compile_rat_reads_copies_of_registered_constants():
