@@ -7,12 +7,12 @@ content of ``_num``.  Every polynomial has exactly one such form, so
 structural equality is semantic equality; ``_poly`` is the one place
 that form is made.  The public views (``coeffs``, ``leading``,
 ``eval_at``, ...) speak ``Fraction``; all arithmetic behind them is on
-integers.  Division is integer pseudo-division divided through once,
-and the gcd is the monic end of Collins's primitive remainder sequence.
-rational_roots and linear_part expose the rational-root structure the
-normalization code needs: roots are found by p-adic lifting (Loos) and
-each is checked by exact integer division, so no coefficient is ever
-factored.
+integers.  ``ints`` and ``from_ints`` read and build the stored form.
+Division is integer pseudo-division divided through once, and the gcd is
+the monic end of Collins's primitive remainder sequence.  rational_roots
+and linear_part expose the rational-root structure the normalization
+code needs: roots are found by p-adic lifting (Loos) and each is checked
+by exact integer division, so no coefficient is ever factored.
 """
 
 from __future__ import annotations
@@ -35,7 +35,17 @@ class Poly:
         p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
         self._num, self._den = p._num, p._den
 
+    @staticmethod
+    def from_ints(num: Iterable[int], den: int) -> "Poly":
+        """The Poly num/den: integer coefficients ascending over a nonzero int."""
+        return _poly(list(num), den)
+
     # -- basic views --------------------------------------------------
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """The stored form ``(num, den)``, as the module docstring has it."""
+        return self._num, self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

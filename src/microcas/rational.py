@@ -270,19 +270,24 @@ def _canonical(num: Poly, den: Poly) -> CanonicalFraction:
     return c
 
 
+def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den rescaled so that den, nonzero, is monic: on integers,
+    both times den's denominator over its leading numerator."""
+    (n, d), (dn, dd) = num.ints, den.ints
+    if dn[-1] == dd:
+        return num, den
+    return Poly.from_ints([c * dd for c in n], d * dn[-1]), Poly.from_ints(dn, dn[-1])
+
+
 def _monic_den(num: Poly, den: Poly) -> CanonicalFraction:
-    """The canonical fraction of a coprime pair: both rescaled so that
-    the denominator is monic."""
-    lead = den.leading
-    if lead != 1:
-        num, den = num.scale(1 / lead), den.scale(1 / lead)
-    return _canonical(num, den)
+    """The canonical fraction of a coprime pair, rescaled by ``_monic``."""
+    return _canonical(*_monic(num, den))
 
 
 _ZERO_FRAC = _canonical(ZERO, ONE)
 FRAC_X = _canonical(X, ONE)
 
-_FRAC_LEAF = _leaf(lambda c: _canonical(Poly([c]), ONE), FRAC_X)
+_FRAC_LEAF = _leaf(lambda c: _canonical(Poly.from_ints([c.numerator], c.denominator), ONE), FRAC_X)
 _FRAC_UNARY = op_table({NEG_Q: operator.neg, INV_Q: CanonicalFraction.inv})
 
 
@@ -447,31 +452,28 @@ def eval_pointwise(t: SynTerm, a: Fraction | int) -> Optional[Fraction]:
 def _poly_term(p: Poly) -> SynTerm:
     """Descending-power sum; negative coefficients ride on unary minus
     so the result survives a print/parse round trip.  Each power x^k is
-    x * x^(k-1) on the node of the one before, so the chains share."""
-    cs = p.coeffs
-    if not cs:
+    x * x^(k-1) on the node of the one before, so the chains share.
+    The walk is over the integer numerators and their one common
+    denominator: a coefficient n/den is a unit when |n| == den."""
+    nums, den = p.ints
+    if not nums:
         return q_lit(0)
     powers = [None, X_Q]  # powers[k] is x^k for k >= 1
-    while len(powers) < len(cs):
+    while len(powers) < len(nums):
         powers.append(q_mul(X_Q, powers[-1]))
     out: SynTerm | None = None
-    for k in range(len(cs) - 1, -1, -1):
-        c = cs[k]
-        if c == 0:
+    for k in range(len(nums) - 1, -1, -1):
+        n = nums[k]
+        if not n:
             continue
-        a = abs(c)
-        if k == 0:
-            mono = q_lit(a)
-        elif a == 1:
+        if k and abs(n) == den:
             mono = powers[k]
         else:
-            mono = q_mul(q_lit(a), powers[k])
-        if out is None:
-            out = q_neg(mono) if c < 0 else mono
-        elif c < 0:
-            out = q_add(out, q_neg(mono))
-        else:
-            out = q_add(out, mono)
+            lit = RatLit(Fraction(abs(n), den))
+            mono = q_mul(lit, powers[k]) if k else lit
+        if n < 0:
+            mono = q_neg(mono)
+        out = mono if out is None else q_add(out, mono)
     assert out is not None
     return out
 
@@ -608,7 +610,7 @@ def flatten_raw(t: SynTerm) -> Optional[tuple[Poly, Poly, list[Poly]]]:
     NotInLanguage, a ValueError, off the language.  On a term with
     shared subterms the list grows with the distinct numerators, not
     with the paths to them."""
-    leaf = _leaf(lambda c: (Poly([c]), ONE, []), (X, ONE, []))
+    leaf = _leaf(lambda c: (Poly.from_ints([c.numerator], c.denominator), ONE, []), (X, ONE, []))
     return fold(t, leaf, _FLAT_UNARY, _FLAT_BINARY)
 
 
@@ -638,9 +640,7 @@ def quasinorm_rat_expr(t: SynTerm) -> SynTerm:
     num, den, inv_nums = fl
     g = poly_gcd(num, den)
     stripped = g // linear_part(g)
-    num, den = num // stripped, den // stripped
-    lead = den.leading
-    num, den = num.scale(1 / lead), den.scale(1 / lead)
+    num, den = _monic(num // stripped, den // stripped)
     for a in _roots_of(inv_nums):
         if den.eval_at(a) != 0:
             factor = Poly([-a, 1])

@@ -345,6 +345,21 @@ def test_gcd_of_planted_common_factor_matches_reference(a, b, d):
     assert g.coeffs == ref_gcd(ref_mul(a, d), ref_mul(b, d))
 
 
+@given(ref_coeffs, st.integers(-(2**70), 2**70).filter(bool))
+@example(NEG_LEAD, -6)
+@example((), 4)
+def test_integer_view_reads_and_builds_the_stored_form(a, k):
+    p = build(a)
+    num, den = p.ints
+    assert (num, den) == (p._num, p._den)
+    assert Poly.from_ints(num, den) == p
+    # Any integer pair for the same polynomial, scaled by k (of either
+    # sign) and padded with zeros, is brought to the one stored form.
+    q = Poly.from_ints([k * c for c in num] + [0, 0], k * den)
+    assert_form(q)
+    assert q == p
+
+
 @given(ref_nonzero, coefficient)
 @example(NEG_LEAD, F(-1, 3))
 @example(CONST, F(0))

@@ -24,6 +24,7 @@ from microcas.printing import to_infix
 from microcas.rational import (
     CanonicalFraction,
     X_Q,
+    _poly_term,
     body,
     compile_rat,
     eval_pointwise,
@@ -323,6 +324,102 @@ def test_norm_predicates_on_deep_normal_forms(src):
     assert elapsed < budget, f"{elapsed:.2f}s exceeds the {budget}s budget"
     assert not is_norm(q_add(n, q_lit(0)))
     assert not is_quasinorm(q_add(n, q_lit(0)))
+
+
+# -- rendering and literal leaves on the integer form -------------------
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        # a unit leading coefficient over a common denominator > 1
+        ("x/2 + x^2", "x^2 + 1/2 * x"),
+        # constant terms of +1 and -1
+        ("x + 1", "x + 1"),
+        ("-x^2 - 1", "-x^2 - 1"),
+        ("-1", "-1"),
+        # negative leading coefficients, unit and not
+        ("1 - x", "-x + 1"),
+        ("-3*x^2 + x", "-(3 * x^2) + x"),
+        ("-x^3/2 + 1/3", "-(1/2 * x^3) + 1/3"),
+        # the zero polynomial
+        ("x - x", "0"),
+        # a numerator and a denominator rescaled by a negative leading coefficient
+        ("-2/(-4*x+1)", "1/2 / (x - 1/4)"),
+        ("1/(1-x)", "-1 / (x - 1)"),
+        ("(x+1)^5/(2*x-4)", "(1/2 * x^5 + 5/2 * x^4 + 5 * x^3 + 5 * x^2 + 5/2 * x + 1/2) / (x - 2)"),
+    ],
+)
+def test_rendering_edge_cases(src, want):
+    n = norm_rat_expr(rx(src))
+    assert to_infix(n) == want
+    assert is_norm(n)
+    assert rx(want) == n
+
+
+def _reference_poly_term(p: Poly):
+    """The renderer written on the Fraction coefficients, term for term:
+    the reference the integer walk of ``_poly_term`` is checked against."""
+    cs = p.coeffs
+    if not cs:
+        return q_lit(0)
+    powers = [None, X_Q]
+    while len(powers) < len(cs):
+        powers.append(q_mul(X_Q, powers[-1]))
+    out = None
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        if c == 0:
+            continue
+        a = abs(c)
+        if k == 0:
+            mono = q_lit(a)
+        elif a == 1:
+            mono = powers[k]
+        else:
+            mono = q_mul(q_lit(a), powers[k])
+        if out is None:
+            out = q_neg(mono) if c < 0 else mono
+        elif c < 0:
+            out = q_add(out, q_neg(mono))
+        else:
+            out = q_add(out, mono)
+    return out
+
+
+# Mixed signs, units and zeros over mixed denominators, some of them huge.
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+_MIXED_POLYS = st.lists(_COEFFICIENTS, max_size=7).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MIXED_POLYS, _MIXED_POLYS.filter(lambda p: not p.is_zero()))
+@example(Poly([0, Fraction(1, 2), 1]), ONE)
+@example(Poly([-2]), Poly([1, -4]))
+@example(Poly([1, 5, 10, 10, 5, 1]), Poly([-4, 2]))
+def test_rendering_matches_the_fraction_reference(p, q):
+    assert _poly_term(p) == _reference_poly_term(p)
+    c = CanonicalFraction.make(p, q)
+    assert _poly_term(c.den) == _reference_poly_term(c.den)
+    assert frac_value(frac_term(c.num, c.den)) == c
+
+
+@pytest.mark.parametrize(
+    "c", [Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-5, 4), Fraction(2**300, 3)]
+)
+def test_literal_leaves_are_constant_polynomials(c):
+    v = frac_value(RatLit(c))
+    num, den, inverted = flatten_raw(RatLit(c))
+    assert v.num == Poly([c]) and v.den == ONE
+    assert num == Poly([c]) and den == ONE and inverted == []
+    if c == 0:
+        assert v.num.is_zero() and num.is_zero()
+    else:
+        assert num.ints == ((c.numerator,), c.denominator)
 
 
 # -- quasinormalization and rational functions --------------------------
