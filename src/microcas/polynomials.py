@@ -8,6 +8,8 @@ structural equality is semantic equality; ``_poly`` is the one place
 that form is made.  The public views (``coeffs``, ``leading``,
 ``eval_at``, ...) speak ``Fraction``; all arithmetic behind them is on
 integers.  ``ints`` and ``from_ints`` read and build the stored form.
+The unit has the one form ``(1,)`` over 1, so a product with a unit
+factor is the other operand itself and builds nothing.
 Division is integer pseudo-division divided through once, and the gcd is
 the monic end of Collins's primitive remainder sequence.  rational_roots
 and linear_part expose the rational-root structure the normalization
@@ -99,7 +101,12 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """The product; a unit factor returns the other operand itself."""
         a, b = self._num, other._num
+        if b == (1,) and other._den == 1:
+            return self
+        if a == (1,) and self._den == 1:
+            return other
         if not a or not b:
             return ZERO
         out = [0] * (len(a) + len(b) - 1)
@@ -108,10 +115,6 @@ class Poly:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
         return _poly(out, self._den * other._den)
-
-    def scale(self, c: _RatLike) -> "Poly":
-        c = Fraction(c)
-        return _poly(_times(self._num, c.numerator), self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -141,11 +144,6 @@ class Poly:
         return divmod(self, other)[1]
 
     # -- other operations ----------------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot be made monic")
-        return _poly(list(self._num), self._num[-1])
 
     def eval_at(self, a: _RatLike) -> Fraction:
         a = Fraction(a)

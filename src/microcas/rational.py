@@ -650,10 +650,14 @@ def quasinorm_rat_expr(t: SynTerm) -> SynTerm:
 
 def norm_rat_fun(t: SynTerm) -> Optional[SynTerm]:
     """Quasinormalize the body of a rational function; None on
-    anything that is not one."""
-    if not is_rat_fun(t):
+    anything that is not one.  The body is walked once: its flattening
+    raises NotInLanguage off the language."""
+    if not (isinstance(t, Lambda) and t.var == "x" and t.var_ty == RAT):
         return None
-    return Lambda("x", RAT, quasinorm_rat_expr(t.body))
+    try:
+        return Lambda("x", RAT, quasinorm_rat_expr(t.body))
+    except NotInLanguage:
+        return None
 
 
 def quasi_equal_at(f: SynTerm, g: SynTerm, a: Fraction | int) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import microcas.factoring
 from microcas.parser import parse
-from microcas.polynomials import Poly, _simple_roots_mod, linear_part, poly_gcd, rational_roots
+from microcas.polynomials import ONE, Poly, _simple_roots_mod, linear_part, poly_gcd, rational_roots
 from microcas.printing import to_infix
 from microcas.rational import norm_rat_fun
 
@@ -87,7 +87,7 @@ def test_gcd_detects_planted_common_factor(p, d):
     if p.is_zero():
         return
     g = poly_gcd(p * d, Poly([0, 1]) * d)
-    assert (g % d.monic()).is_zero()
+    assert (g % d).is_zero()
 
 
 def test_rational_roots_on_constructed_product():
@@ -107,7 +107,7 @@ def test_rational_roots_none_for_irreducible():
 
 
 def test_rational_roots_respects_multiplicity_and_scaling():
-    p = (Poly([0, 1]) ** 3 * Poly([-2, 1])).scale(Fraction(7, 3))
+    p = Poly([0, 1]) ** 3 * Poly([-2, 1]) * Poly([Fraction(7, 3)])
     roots = dict(rational_roots(p))
     assert roots == {Fraction(0): 3, Fraction(2): 1}
 
@@ -202,14 +202,6 @@ def test_eval_at_matches_power_expansion(p, a):
     assert p.eval_at(a) == want
 
 
-def test_monic_and_scale():
-    p = Poly([2, 4])
-    assert p.monic() == Poly([Fraction(1, 2), 1])
-    assert p.scale(Fraction(1, 2)) == Poly([1, 2])
-    with pytest.raises(ValueError):
-        Poly().monic()
-
-
 # -- the integer kernel against a Fraction reference ----------------------
 #
 # The reference below works on tuples of Fractions (ascending, no
@@ -297,11 +289,17 @@ ref_nonzero = ref_coeffs.filter(bool)
 # A negative leading coefficient and a constant, explicitly.
 NEG_LEAD = (F(3, 7), F(-2), F(-5, 3))
 CONST = (F(-7, 2**70),)
+UNIT = (F(1),)
 
 
 @given(ref_coeffs, ref_coeffs)
 @example(NEG_LEAD, CONST)
 @example((), NEG_LEAD)
+@example(UNIT, NEG_LEAD)
+@example(NEG_LEAD, UNIT)
+@example(UNIT, UNIT)
+@example((), UNIT)
+@example(NEG_LEAD, (F(1, 3),))
 def test_add_sub_mul_match_reference(a, b):
     p, q = build(a), build(b)
     for got, want in (
@@ -337,6 +335,22 @@ def test_gcd_matches_reference(a, b):
     assert g.coeffs == ref_gcd(a, b)
 
 
+@given(ref_coeffs)
+@example(NEG_LEAD)
+@example(())
+@example(UNIT)
+def test_a_unit_factor_returns_the_other_operand(a):
+    # The unit is recognised by its stored form, so a unit built apart
+    # from ONE counts too.
+    units = (ONE, Poly([1]), Poly.from_ints([7], 7))
+    assert units[1] is not ONE and units[2] is not ONE
+    p = build(a)
+    for u in units:
+        if p.ints != ((1,), 1):
+            assert p * u is p and u * p is p
+        assert p * u == p == u * p
+
+
 @given(ref_nonzero, ref_nonzero, ref_nonzero)
 @settings(max_examples=60)
 def test_gcd_of_planted_common_factor_matches_reference(a, b, d):
@@ -360,18 +374,14 @@ def test_integer_view_reads_and_builds_the_stored_form(a, k):
     assert q == p
 
 
-@given(ref_nonzero, coefficient)
-@example(NEG_LEAD, F(-1, 3))
-@example(CONST, F(0))
-def test_monic_scale_derivative_match_reference(a, c):
+@given(ref_nonzero)
+@example(NEG_LEAD)
+@example(CONST)
+def test_derivative_matches_reference(a):
     p = build(a)
-    for got, want in (
-        (p.monic(), ref_monic(a)),
-        (p.scale(c), ref(x * F(c) for x in a)),
-        (p.derivative(), ref(k * x for k, x in enumerate(a) if k)),
-    ):
-        assert_form(got)
-        assert got.coeffs == want
+    got = p.derivative()
+    assert_form(got)
+    assert got.coeffs == ref(k * x for k, x in enumerate(a) if k)
     assert p.leading == a[-1]
 
 

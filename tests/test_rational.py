@@ -50,7 +50,7 @@ from microcas.rational import (
     quasinorm_rat_expr,
     singular_points,
 )
-from microcas.terms import INT, App, Arrow, Const, IntLit, Lambda, RAT, RatLit, Var, infer_type
+from microcas.terms import INT, REAL, SIN_R, X_R, App, Arrow, Const, IntLit, Lambda, RAT, RatLit, Var, infer_type
 
 
 def rx(src: str):
@@ -171,6 +171,14 @@ def test_flatten_raw_keeps_unreduced_pair():
     assert num == Poly([0, 1])
     assert den == Poly([0, 1])
     assert invs == [Poly([0, 1])]
+
+
+@pytest.mark.parametrize("src", ["x", "7/3", "x^2 + 3*x - 1/2", "-(x + 1) * (2*x - 5)", "x*x*x - x"])
+def test_flatten_raw_of_an_inverse_free_term_is_over_the_one_object(src):
+    # Every product with the leaf denominator ONE returns an operand.
+    num, den, invs = flatten_raw(rx(src))
+    assert den is ONE and invs == []
+    assert CanonicalFraction.make(num, ONE) == frac_value(rx(src))
 
 
 def test_flatten_raw_undefined_when_inverting_zero_polynomial():
@@ -456,6 +464,33 @@ def test_norm_rat_fun_shape_and_gate():
     assert is_quasinorm(body(f))
     assert norm_rat_fun(rx("x + 1")) is None
     assert norm_rat_fun(IntLit(2)) is None
+
+
+def test_norm_rat_fun_walks_its_body_once(monkeypatch):
+    from microcas import rational, terms
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return terms.fold(*args)
+
+    monkeypatch.setattr(rational, "fold", counting)
+    for src in ("fun x -> x / x", "fun x -> (x^2 - 1) / (x - 1)", "fun x -> 1 / (x - x)", "fun x -> 1/(1/x) + 2"):
+        calls.clear()
+        f = rf(src)
+        assert norm_rat_fun(f) is not None
+        assert calls == [f.body]
+    off_language = (
+        Lambda("y", RAT, X_Q),  # fun y -> x
+        Lambda("x", REAL, X_R),  # fun x:real -> x
+        Lambda("x", REAL, q_add(X_Q, q_lit(1))),  # a real binder over a rational body
+        Lambda("x", RAT, q_add(X_Q, App(SIN_R, X_Q))),  # a body with sin
+        rx("x + 1"),
+        IntLit(2),
+    )
+    for t in off_language:
+        assert norm_rat_fun(t) is None
 
 
 def test_norm_rat_fun_pointwise_quasi_equality():
