@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 NEG_INFINITY = float("-inf")
 
@@ -69,9 +69,6 @@ class Poly:
 
     def coeff(self, i: int) -> Fraction:
         return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self._num == other._num and self._den == other._den
