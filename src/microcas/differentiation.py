@@ -45,12 +45,12 @@ from .terms import (
     SUB_R,
     TAN_R,
     X_R,
-    App,
     NotInLanguage,
     RealLit,
     Record,
     Steps,
     SynTerm,
+    builder,
     fold,
     literal_value,
     match_unary,
@@ -94,53 +94,13 @@ def _emit_lit(c: Fraction) -> SynTerm:
     return r_lit(c) if c >= 0 else r_neg(r_lit(-c))
 
 
-def r_add(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(ADD_R, a), b)
-
-
-def r_mul(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(MUL_R, a), b)
-
-
-def r_sub(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(SUB_R, a), b)
-
-
-def r_pow(a: SynTerm, c: SynTerm) -> SynTerm:
-    return App(App(POW_R, a), c)
-
-
-def r_neg(a: SynTerm) -> SynTerm:
-    return App(NEG_R, a)
-
-
-def r_inv(a: SynTerm) -> SynTerm:
-    return App(INV_R, a)
+r_add, r_mul, r_sub, r_pow = map(builder, (ADD_R, MUL_R, SUB_R, POW_R))
+r_neg, r_inv, r_exp, r_ln, r_sin, r_cos, r_tan = map(builder, (NEG_R, INV_R, EXP_R, LN_R, SIN_R, COS_R, TAN_R))
 
 
 def r_div(a: SynTerm, b: SynTerm) -> SynTerm:
     """Division is sugar: a / b == a * b^-1."""
     return r_mul(a, r_inv(b))
-
-
-def r_exp(a: SynTerm) -> SynTerm:
-    return App(EXP_R, a)
-
-
-def r_ln(a: SynTerm) -> SynTerm:
-    return App(LN_R, a)
-
-
-def r_sin(a: SynTerm) -> SynTerm:
-    return App(SIN_R, a)
-
-
-def r_cos(a: SynTerm) -> SynTerm:
-    return App(COS_R, a)
-
-
-def r_tan(a: SynTerm) -> SynTerm:
-    return App(TAN_R, a)
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +730,6 @@ class DomainPoint(Record):
 
 class DomainReport(Record):
     __slots__ = ("entries",)
-
-    def defined_points(self) -> list[float]:
-        return [e.point for e in self.entries if e.defined]
-
-    def undefined_points(self) -> list[float]:
-        return [e.point for e in self.entries if not e.defined]
 
 
 def domain_sample(t: SynTerm, lo: float, hi: float, n: int) -> DomainReport:

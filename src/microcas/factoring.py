@@ -37,12 +37,12 @@ from .terms import (
     MUL_I,
     NEG_I,
     POW_I,
-    App,
     IntLit,
     IntV,
     Record,
     SynTerm,
     Value,
+    builder,
     fold,
     match_binary,
     match_unary,
@@ -54,20 +54,7 @@ _TRIAL_LIMIT = 1 << 16
 _BLOCK = 64  # table primes per gcd block in the trial walk
 
 
-def i_add(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(ADD_I, a), b)
-
-
-def i_mul(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(MUL_I, a), b)
-
-
-def i_pow(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(POW_I, a), b)
-
-
-def i_neg(a: SynTerm) -> SynTerm:
-    return App(NEG_I, a)
+i_add, i_mul, i_pow, i_neg = map(builder, (ADD_I, MUL_I, POW_I, NEG_I))
 
 
 _INT_UNARY = op_table({NEG_I: operator.neg})

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, Optional
 
-from .terms import FUNCTIONS, RAT, App, IntLit, Lambda, SynTerm, literal_value
+from .terms import FUNCTIONS, RAT, IntLit, Lambda, SynTerm, builder, literal_value
 
 LANGS = ("int", "ratexpr", "ratfun", "diffexpr")
 
@@ -183,7 +183,7 @@ def _real_syntax() -> _Syntax:
         integer=dr.r_lit,
         fraction=dr.r_lit,
         x=lambda: dr.X_R,
-        calls={name: (lambda u, op=op: App(op, u)) for name, op in FUNCTIONS.items()},
+        calls={name: builder(op) for name, op in FUNCTIONS.items()},
         other_call=None,
         fraction_exponents=True,
     )

@@ -67,9 +67,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._num[-1], self._den)
 
-    def coeff(self, i: int) -> Fraction:
-        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self._num == other._num and self._den == other._den
 

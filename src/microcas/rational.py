@@ -3,8 +3,9 @@
 A rational expression is a term over the rational variable x, rational
 literals, +, *, unary - and the (partial!) multiplicative inverse.  Its
 value, when it exists, lives in the field of fractions of polynomials
-(``CanonicalFraction``).  Two different syntax-to-syntax maps sit on
-top of that value:
+(``CanonicalFraction``); its constructors are ``terms.builder`` of the
+operators and the class ``RatLit``, plus sugar.  Two different
+syntax-to-syntax maps sit on top of that value:
 
 ``norm_rat_expr``
     full normalization: render the reduced fraction.  Expressions whose
@@ -18,6 +19,11 @@ top of that value:
     expression is undefined, so the output denotes the same partial
     function on the rationals, point for point.  x/x stays x/x;
     (x^2+1)/(x^2+1) becomes 1.
+
+The two outputs are recognized by one reader, which reads p/q off a
+rendered term without reducing it: ``is_norm`` holds when q is monic
+and gcd(p, q) = 1, and ``is_quasinorm`` when q is monic and gcd(p, q)
+is a product of linear factors.
 
 The pointwise story needs care for nested inverses: 1/(1/x) flattens to
 the polynomial x, yet the original is undefined at 0.  Flattening a
@@ -52,7 +58,6 @@ from .terms import (
     NEG_Q,
     RAT,
     X_Q,
-    App,
     Arrow,
     FnQQ,
     FracV,
@@ -64,6 +69,7 @@ from .terms import (
     Steps,
     SynTerm,
     Value,
+    builder,
     fold,
     match_binary,
     match_unary,
@@ -72,24 +78,8 @@ from .terms import (
 )
 
 
-def q_lit(c: Fraction | int) -> SynTerm:
-    return RatLit(Fraction(c))
-
-
-def q_add(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(ADD_Q, a), b)
-
-
-def q_mul(a: SynTerm, b: SynTerm) -> SynTerm:
-    return App(App(MUL_Q, a), b)
-
-
-def q_neg(a: SynTerm) -> SynTerm:
-    return App(NEG_Q, a)
-
-
-def q_inv(a: SynTerm) -> SynTerm:
-    return App(INV_Q, a)
+q_lit = RatLit  # the literal c, its value Fraction(c)
+q_add, q_mul, q_neg, q_inv = map(builder, (ADD_Q, MUL_Q, NEG_Q, INV_Q))
 
 
 def q_sub(a: SynTerm, b: SynTerm) -> SynTerm:
@@ -495,16 +485,22 @@ def frac_to_term(c: CanonicalFraction) -> SynTerm:
 
 
 def is_norm(t: SynTerm) -> bool:
-    """Normal forms: canonical renderings of values, plus the one
-    distinguished undefined form 1/0.  A term is its own value's
-    rendering exactly when rendering its value reproduces it."""
-    try:
-        v = frac_value(t)
-    except NotInLanguage:
-        return False
-    if v is None:
-        return t == UNDEFINED_NORMAL_FORM
-    return frac_to_term(v) == t
+    """Normal forms, the canonical renderings of values: rendered p/q
+    with q monic and gcd(p, q) = 1, plus the undefined form 1/0."""
+    return _shape_gcd(t) == ONE
+
+
+def _shape_gcd(t: SynTerm) -> Optional[Poly]:
+    """gcd(p, q) of a term rendered as p/q (a bare p when q = 1) with q
+    nonzero and monic, read without reducing; ONE for the undefined
+    form 1/0, and None for any other term.  The one reader of both
+    normal-form predicates."""
+    if t == UNDEFINED_NORMAL_FORM:
+        return ONE
+    shape = _read_fraction_shape(t)
+    if shape is None or shape[1].is_zero() or shape[1].leading != 1:
+        return None
+    return poly_gcd(*shape)
 
 
 def _read_fraction_shape(t: SynTerm) -> Optional[tuple[Poly, Poly]]:
@@ -540,21 +536,12 @@ def _read_poly(t: SynTerm) -> Optional[Poly]:
 
 
 def is_quasinorm(t: SynTerm) -> bool:
-    """Quasinormal forms: rendered p/q (bare p when q = 1) whose common
-    factors are all linear -- gcd(p, q) equals its own linear part -- so
-    only rational singularities remain; plus the distinguished 1/0."""
-    if t == UNDEFINED_NORMAL_FORM:
-        return True
-    shape = _read_fraction_shape(t)
-    if shape is None:
-        return False
-    num, den = shape
-    if den.is_zero() or den.leading != 1:
-        return False
-    if num.is_zero() and den == ONE:
-        return True
-    g = poly_gcd(num, den)
-    return g == linear_part(g)
+    """Quasinormal forms: rendered p/q (bare p when q = 1) with q monic
+    whose common factors are all linear -- gcd(p, q) equals its own
+    linear part -- so only rational singularities remain; plus the
+    distinguished 1/0."""
+    g = _shape_gcd(t)
+    return g is not None and g == linear_part(g)
 
 
 # ---------------------------------------------------------------------------

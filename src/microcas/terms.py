@@ -28,11 +28,13 @@ The one signature of the term languages is declared here: every typed
 operator constant of the integer, rational and real languages, the
 variable x of each expression language, and the literal classes with
 ``literal_value``, the one reader of a literal of any language.  The
-evaluator of each type but SYNTAX is registered by the module that
-owns it (factoring the integers; rational the rationals, the field of
-fractions and the rational functions), and ``eval_as`` loads that
-module the first time a term is read at the type, so nothing needs
-importing beforehand.  Membership tests, exact values and the
+term constructors come from it: ``builder(op)`` is the constructor of
+op's applications, its arity read off op's registered type, and a
+literal's constructor is its class.  The evaluator of each type but
+SYNTAX is registered by the module that owns it (factoring the
+integers; rational the rationals, the field of fractions and the
+rational functions), and ``eval_as`` loads that module the first time
+a term is read at the type, so nothing needs importing beforehand.  Membership tests, exact values and the
 lowerings to straight-line code (with ``Steps``) are computed bottom-up
 with ``fold``, the one walk with the one strictness rule: an undefined
 operand makes its whole term undefined.
@@ -245,7 +247,7 @@ class _Literal(_Term):
     __slots__ = ()
 
     def __init__(self, value: Fraction) -> None:
-        _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+        _set(self, "value", value if type(value) is Fraction else Fraction(value))
 
     def __eq__(self, other: object):
         if type(other) is not type(self):
@@ -388,6 +390,19 @@ def register_constant(symbol: str, ty: SemType) -> Const:
     return _CONSTANTS.setdefault((symbol, ty), Const(symbol, ty))
 
 
+def builder(op: Const) -> Callable[..., App]:
+    """The constructor of op's applications: ``App(op, a)`` for a unary
+    operator, ``App(App(op, a), b)`` for a binary one, the arity read off
+    op's registered type.  Raises ValueError for a constant that is not
+    a registered operator."""
+    ty = op.ty
+    if _CONSTANTS.get((op.symbol, ty)) is not op or type(ty) is not Arrow:
+        raise ValueError(f"not a registered operator: {op!r}")
+    if type(ty.cod) is Arrow:
+        return lambda a, b: App(App(op, a), b)
+    return partial(App, op)
+
+
 def register_evaluator(ty: SemType, fn: Callable[[SynTerm], Optional[Value]]) -> None:
     """Install the evaluator used by eval_as for terms aimed at ``ty``.
 
@@ -446,10 +461,8 @@ X_Q = Var("x", RAT)
 X_R = Var("x", REAL)
 
 
-def r_lit(c: Fraction | int) -> RealLit:
-    """The rational constant c of the real language, its value
-    ``Fraction(c)``."""
-    return RealLit(c)
+# the rational constant c of the real language, its value Fraction(c)
+r_lit = RealLit
 
 
 def literal_value(t: SynTerm) -> Optional[Fraction]:

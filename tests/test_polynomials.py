@@ -39,9 +39,6 @@ def test_basic_accessors():
     p = Poly([Fraction(1, 2), 0, 3])
     assert p.degree == 2
     assert p.leading == 3
-    assert p.coeff(0) == Fraction(1, 2)
-    assert p.coeff(1) == 0
-    assert p.coeff(99) == 0
     with pytest.raises(ValueError):
         Poly().leading
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,13 @@ from hypothesis import strategies as st
 
 from microcas.harness import GenConfig, _rat_denote, draw_rat_expr, draw_rat_fun
 from microcas.parser import parse
-from microcas.polynomials import ONE, Poly, poly_gcd
+from microcas.polynomials import ONE, Poly, linear_part, poly_gcd
 from microcas.printing import to_infix
 from microcas.rational import (
+    UNDEFINED_NORMAL_FORM,
     CanonicalFraction,
     X_Q,
+    _read_fraction_shape,
     _poly_term,
     body,
     compile_rat,
@@ -50,7 +53,9 @@ from microcas.rational import (
     quasinorm_rat_expr,
     singular_points,
 )
-from microcas.terms import INT, REAL, SIN_R, X_R, App, Arrow, Const, IntLit, Lambda, RAT, RatLit, Var, infer_type
+from microcas.terms import (
+    INT, REAL, SIN_R, X_R, App, Arrow, Const, IntLit, Lambda, NotInLanguage, RAT, RatLit, Var, infer_type,
+)
 
 
 def rx(src: str):
@@ -317,6 +322,56 @@ def test_is_quasinorm_accepts_surviving_linear_factors():
     # Terms that are not canonical fraction renderings are not quasinormal.
     assert not is_quasinorm(rx("x + x"))
     assert not is_quasinorm(rx("1 + 1"))
+
+
+def _is_norm_reference(t):
+    """is_norm as it was written before it read the shape's gcd: a term
+    is normal when rendering its value reproduces it."""
+    try:
+        v = frac_value(t)
+    except NotInLanguage:
+        return False
+    if v is None:
+        return t == UNDEFINED_NORMAL_FORM
+    return frac_to_term(v) == t
+
+
+def _is_quasinorm_reference(t):
+    """is_quasinorm as it was written before it shared is_norm's reader."""
+    if t == UNDEFINED_NORMAL_FORM:
+        return True
+    shape = _read_fraction_shape(t)
+    if shape is None:
+        return False
+    num, den = shape
+    if den.is_zero() or den.leading != 1:
+        return False
+    if num.is_zero() and den == ONE:
+        return True
+    g = poly_gcd(num, den)
+    return g == linear_part(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_norm_predicates_match_their_reference_definitions(seed):
+    # Per draw: the term, its normal and quasinormal forms, the normal
+    # form over 2 (not a rendering), 0 over a product of linear factors
+    # (a rendering whose gcd is the whole denominator), and the value
+    # with an irreducible quadratic factor on both sides.
+    rng, cfg = random.Random(seed), GenConfig(seed=seed)
+    verdicts = Counter()
+    for _ in range(400):
+        t = draw_rat_expr(rng, cfg)
+        n = norm_rat_expr(t)
+        linear = Poly([rng.randint(-3, 3), 1]) * Poly([rng.randint(-3, 3), 1])
+        quad = Poly([rng.randint(1, 3), 0, 1])
+        v = frac_value(t) or CanonicalFraction.make(ONE, ONE)
+        kinds = t, n, quasinorm_rat_expr(t), q_mul(n, q_inv(q_lit(2))), frac_term(Poly([]), linear)
+        for u in (*kinds, frac_term(v.num * quad, v.den * quad)):
+            got = is_norm(u), is_quasinorm(u)
+            assert got == (_is_norm_reference(u), _is_quasinorm_reference(u)), to_infix(u)
+            verdicts[got] += 1
+    assert set(verdicts) == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("src", ["(x + 1)^200", "(x^400 - 1) / (x - 1)"])

@@ -8,6 +8,7 @@ is undefined (None).
 from __future__ import annotations
 
 import copy
+import importlib
 import operator
 import time
 from collections import Counter
@@ -42,8 +43,10 @@ from microcas.terms import (
     Quote,
     RatLit,
     RatV,
+    RealLit,
     TermV,
     Var,
+    builder,
     eval_as,
     fold,
     infer_type,
@@ -312,3 +315,50 @@ def test_repr_of_a_shared_ladder_is_cut_short():
     whole = to_sexpr(small)
     assert to_sexpr(small, len(whole)) == whole
     assert to_sexpr(small, len(whole) - 1) == whole[:-1] + "..."
+
+
+# Each operator constructor of the three languages, with its operator
+# and arity as the signature declares them.
+_CONSTRUCTORS = [
+    ("rational", "q_add", "ADD_Q", 2), ("rational", "q_mul", "MUL_Q", 2),
+    ("rational", "q_neg", "NEG_Q", 1), ("rational", "q_inv", "INV_Q", 1),
+    ("differentiation", "r_add", "ADD_R", 2), ("differentiation", "r_mul", "MUL_R", 2),
+    ("differentiation", "r_sub", "SUB_R", 2), ("differentiation", "r_pow", "POW_R", 2),
+    ("differentiation", "r_neg", "NEG_R", 1), ("differentiation", "r_inv", "INV_R", 1),
+    ("differentiation", "r_exp", "EXP_R", 1), ("differentiation", "r_ln", "LN_R", 1),
+    ("differentiation", "r_sin", "SIN_R", 1), ("differentiation", "r_cos", "COS_R", 1),
+    ("differentiation", "r_tan", "TAN_R", 1),
+    ("factoring", "i_add", "ADD_I", 2), ("factoring", "i_mul", "MUL_I", 2),
+    ("factoring", "i_pow", "POW_I", 2), ("factoring", "i_neg", "NEG_I", 1),
+]
+
+
+@pytest.mark.parametrize("module, name, op_name, arity", _CONSTRUCTORS, ids=[c[1] for c in _CONSTRUCTORS])
+def test_constructors_build_the_registered_operator(module, name, op_name, arity):
+    make = getattr(importlib.import_module(f"microcas.{module}"), name)
+    op = getattr(microcas.terms, op_name)
+    assert register_constant(op.symbol, op.ty) is op
+    a, b = Var("a", op.ty.dom), Var("b", op.ty.dom)
+    if arity == 2:
+        t = make(a, b)
+        assert type(t) is App and type(t.fun) is App
+        assert t.fun.fun is op and t.fun.arg is a and t.arg is b
+    else:
+        t = make(a)
+        assert type(t) is App and t.fun is op and t.arg is a
+    assert infer_type(t) is op.ty.dom
+
+
+def test_builder_refuses_what_is_not_a_registered_operator():
+    for c in (Const("frob", Arrow(REAL, REAL)), Const("+", Arrow(RAT, INT)), register_constant("X", FRAC)):
+        with pytest.raises(ValueError):
+            builder(c)
+
+
+@pytest.mark.parametrize("c", [0, 7, -3, Fraction(2, 3), 2**300])
+def test_literal_constructors_are_the_literal_classes(c):
+    q, r = q_lit(c), r_lit(c)
+    assert (type(q), type(r)) == (RatLit, RealLit)
+    assert q == RatLit(Fraction(c)) and r == RealLit(Fraction(c))
+    assert type(q.value) is Fraction and type(r.value) is Fraction
+    assert q.value == c and r.value == c
